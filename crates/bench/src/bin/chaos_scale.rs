@@ -242,7 +242,8 @@ fn run_tcp_part(args: &HarnessArgs) -> (bool, Option<TcpChaosRow>) {
             );
             std::thread::sleep(Duration::from_millis(2));
         }
-        let fence = ctx.evict(&ar, &[VICTIM]);
+        let survivors: Vec<usize> = (0..P).filter(|&r| r != VICTIM).collect();
+        let fence = ctx.reconfigure(&mut ar, &survivors);
         ok &= fence >= pre && ar.evicted_ranks() == vec![VICTIM];
         for _ in 0..post {
             let out = ar.allreduce(&TypedBuf::from(vec![1.0f64; 32]));

@@ -22,12 +22,12 @@ use pcoll_sched::Engine;
 use std::cell::Cell;
 use std::sync::{Arc, Barrier};
 
-/// Base of the collective-id range reserved for the eviction protocol's
+/// Base of the collective-id range reserved for the membership fence's
 /// consensus collectives (fence allreduce + barrier, two ids per
-/// eviction epoch). Far above anything `RankCtx::alloc` hands out, and
-/// derived identically on every survivor, so lazily registering them
+/// membership epoch). Far above anything `RankCtx::alloc` hands out, and
+/// derived identically on every participant, so lazily registering them
 /// mid-run keeps the SPMD id agreement without any up-front reservation.
-const EVICTION_COLL_BASE: u32 = 0x4000_0000;
+const FENCE_COLL_BASE: u32 = 0x4000_0000;
 
 /// Per-rank context (one per rank thread, not shareable across threads).
 pub struct RankCtx {
@@ -69,8 +69,9 @@ impl RankCtx {
     }
 
     /// This rank's liveness view of its peers (traffic- and
-    /// heartbeat-driven suspicion). Feed [`Membership::sweep_suspects`]
-    /// results into [`RankCtx::evict`] to remove dead ranks for good.
+    /// heartbeat-driven suspicion). Drop [`Membership::sweep_suspects`]
+    /// results from the live set passed to [`RankCtx::reconfigure`] to
+    /// remove dead ranks for good.
     pub fn membership(&self) -> &Arc<Membership> {
         &self.membership
     }
@@ -173,127 +174,76 @@ impl RankCtx {
         self.barrier.wait();
     }
 
-    /// Evict `dead` ranks from a partial allreduce: every survivor must
-    /// call this with the same `dead` set (SPMD), after which rounds from
-    /// the agreed fence onward are scheduled over the surviving ranks
-    /// only. Returns the fence round.
+    /// Move a partial allreduce to the live set `live` — evicting the
+    /// current members it omits, re-admitting the absent ranks it names,
+    /// or both. Every member of `live` must call this with the same set
+    /// (SPMD); ranks outside it take no part. Returns the fence round
+    /// `F`: rounds ≥ `F` are scheduled over `live`. When `live` already
+    /// is the current live set, nothing is registered and the fence of
+    /// the current set is returned.
     ///
-    /// Protocol: survivors Max-allreduce their build horizons over the
-    /// live set to agree on a fence `F` no rank has built past, apply
-    /// `evict_from(F, dead)` locally, then barrier over the live set.
+    /// Protocol: flip the liveness view first — `Membership::evict` each
+    /// leaver; `Membership::readmit` and `Engine::peer_up` each joiner —
+    /// then Max-allreduce the build horizons over `live` to agree on a
+    /// fence `F` no participant has built past, fast-forward a joining
+    /// caller to `F` (rounds < `F` ran while it was absent), apply
+    /// `set_live_from(F, live)` locally, and barrier over `live`.
     ///
-    /// Why this is race-free: the fence must exceed every round for which
-    /// a *dead* rank's message might still arrive, or a survivor would
-    /// mix full-world and live-set schedules for one round. Under TCP the
-    /// per-peer stream is FIFO and death is observed as reader EOF, so by
-    /// the time a peer is reported down every message it ever sent has
-    /// already been delivered — any round it touched is already counted
-    /// in some survivor's [`PartialAllreduce::horizon`], and the max over
-    /// survivors covers it. Applying `evict_from` *before* the barrier
-    /// makes the barrier's completion imply every survivor has switched
-    /// schedules (barrier entry is app-side, after the local apply), so
-    /// no live-set round can start while a peer still builds full-world.
+    /// Why this is race-free:
+    /// - **The fence covers every horizon.** It must exceed every round
+    ///   for which a leaver's message might still arrive, or a survivor
+    ///   would mix old and new schedules for one round. Under TCP the
+    ///   per-peer stream is FIFO and death is observed as reader EOF, so
+    ///   by the time a peer is reported down every message it ever sent
+    ///   has been delivered — any round it touched already counts in some
+    ///   survivor's [`PartialAllreduce::horizon`], and the max covers it.
+    ///   Symmetrically every round any participant started lies below
+    ///   `F`, and a joiner's first deposit is for `F` itself, so a joiner
+    ///   cannot pollute rounds < `F`.
+    /// - **Apply before the barrier.** Barrier entry is app-side, after
+    ///   the local apply, so its completion implies every participant
+    ///   builds rounds ≥ `F` over the identical live set.
+    /// - **Joiners flip liveness before the consensus.** The transport
+    ///   drops sends to Down peers, and the engine nulls their
+    ///   contributions; both verdicts must reverse before the fence's own
+    ///   traffic toward the joiner is staged (the command channel is
+    ///   ordered).
     ///
-    /// The consensus collectives themselves are registered lazily at a
-    /// reserved id (`EVICTION_COLL_BASE + 2*epoch`); the engine buffers
-    /// messages for not-yet-registered collectives, so survivors need not
-    /// reach this call simultaneously.
-    pub fn evict(&self, ar: &PartialAllreduce, dead: &[Rank]) -> u64 {
-        let mut live = ar.live_ranks();
-        live.retain(|r| !dead.contains(r));
-        assert!(
-            live.contains(&self.rank),
-            "rank {} cannot evict itself",
-            self.rank
-        );
-        let epoch = ar.eviction_epoch();
-        let base = EVICTION_COLL_BASE + 2 * epoch as u32;
-        let mut fence = SyncAllreduce::register_over(
-            &self.engine,
-            CollId(base),
-            &live,
-            self.rank,
-            DType::I64,
-            1,
-            ReduceOp::Max,
-            None,
-        );
-        let gate = SyncBarrier::register_over(&self.engine, CollId(base + 1), &live, self.rank);
-        let agreed = fence.allreduce(&TypedBuf::from(vec![ar.horizon() as i64]));
-        let fence_round = agreed.as_i64().unwrap()[0] as u64;
-        ar.evict_from(fence_round, dead);
-        for &d in dead {
-            // Promote the local suspicion to a consensus fact in the
-            // liveness view: the rank is gone for good, not just quiet.
-            self.membership.evict(d);
-        }
-        gate.wait();
-        fence_round
-    }
-
-    /// Re-admit `joiners` into a partial allreduce — the eviction fence
-    /// run in reverse. Every participant of the *expanded* world
-    /// (survivors **and** joiners) must call this with the same
-    /// `joiners` set (SPMD). Returns the admission fence round `F`:
-    /// rounds ≥ `F` are scheduled over the grown live set.
+    /// The consensus collectives are registered lazily at a reserved id
+    /// (`FENCE_COLL_BASE + 2*epoch`, epoch = changes applied so far); the
+    /// engine buffers messages for not-yet-registered collectives, so
+    /// participants need not arrive simultaneously.
     ///
-    /// Protocol: all participants Max-allreduce their build horizons
-    /// over the expanded live set to agree on an admission fence `F` no
-    /// rank has built past, apply `admit_from(F, joiners)` locally
-    /// (joiners additionally fast-forward their round counter to `F` —
-    /// rounds < `F` ran while they were absent), then barrier over the
-    /// expanded live set.
-    ///
-    /// Joiner precondition: before calling this, a joiner must have
-    /// registered its collectives in SPMD order and installed the
-    /// survivors' segment state with
-    /// [`PartialAllreduce::import_state`] — its membership-event epoch
-    /// must match the survivors' so the consensus collective ids line
-    /// up, and its membership log must already know which rounds it was
-    /// absent from.
-    ///
-    /// Why a joiner cannot pollute rounds < `F`: the fence is the max
-    /// horizon over every participant, so every round any survivor has
-    /// started (or seen a message for) lies below `F`; the joiner's
-    /// first deposit after fast-forward is for round `F` itself, and it
-    /// sends nothing before the fence consensus completes. Survivors
-    /// apply `admit_from` *before* entering the barrier, so barrier
-    /// completion implies every participant builds rounds ≥ `F` over
-    /// the identical grown live set — no round mixes shrunken and grown
-    /// schedules.
-    pub fn admit(&self, ar: &mut PartialAllreduce, joiners: &[Rank]) -> u64 {
-        let mut live = ar.live_ranks();
-        for &j in joiners {
-            if !live.contains(&j) {
-                live.push(j);
-            }
-        }
+    /// Joiner precondition: a joiner must first register its collectives
+    /// in SPMD order and install the survivors' segment state with
+    /// [`PartialAllreduce::import_state`], so its epoch — and with it the
+    /// consensus ids — matches theirs.
+    pub fn reconfigure(&self, ar: &mut PartialAllreduce, live: &[Rank]) -> u64 {
+        let mut live = live.to_vec();
         live.sort_unstable();
+        live.dedup();
         assert!(
             live.contains(&self.rank),
-            "rank {} is neither a survivor nor a joiner",
+            "rank {} is not in the target live set {live:?}",
             self.rank
         );
-        // Epoch counts *all* membership events (evictions and
-        // admissions), so the reserved id pair never collides with an
-        // earlier fence's — mixed evict/admit sequences stay aligned.
-        let epoch = ar.eviction_epoch();
-        let base = EVICTION_COLL_BASE + 2 * epoch as u32;
-        for &j in joiners {
-            // Reverse the liveness verdict *before* the fence consensus:
-            // the transport drops sends to Down peers, so a survivor's
-            // fence contribution toward the joiner would never leave the
-            // building otherwise. Entering this SPMD call *is* the
-            // admission decision; the allreduce below only computes the
-            // fence round. The one sanctioned Evicted → Alive transition.
+        let current = ar.live_ranks();
+        if live == current {
+            return ar.membership_segments().last().map_or(0, |s| s.0);
+        }
+        for r in current.iter().filter(|r| !live.contains(r)) {
+            self.membership.evict(*r);
+        }
+        let joiners: Vec<Rank> = live
+            .iter()
+            .copied()
+            .filter(|r| !current.contains(r))
+            .collect();
+        for &j in &joiners {
             self.membership.readmit(j);
-            // The engine's null-synthesis verdict reverses too, and it
-            // must land before the fence activations staged below (the
-            // command channel is ordered) — otherwise every instance this
-            // engine builds from here on, fence included, would keep
-            // nulling the joiner's contributions.
             self.engine.peer_up(j);
         }
+        let base = FENCE_COLL_BASE + 2 * ar.eviction_epoch() as u32;
         let mut fence = SyncAllreduce::register_over(
             &self.engine,
             CollId(base),
@@ -310,7 +260,7 @@ impl RankCtx {
         if joiners.contains(&self.rank) {
             ar.fast_forward_to(fence_round);
         }
-        ar.admit_from(fence_round, joiners);
+        ar.set_live_from(fence_round, &live);
         gate.wait();
         fence_round
     }
@@ -400,7 +350,7 @@ mod tests {
             // and nobody has built further, so the fence is deterministic.
             let mut fence = 0;
             if ctx.rank() != 3 {
-                fence = ctx.evict(&ar, &[3]);
+                fence = ctx.reconfigure(&mut ar, &[0, 1, 2]);
                 assert_eq!(ar.evicted_ranks(), vec![3]);
                 assert_eq!(ar.live_ranks(), vec![0, 1, 2]);
                 for _ in 0..5 {
@@ -452,9 +402,9 @@ mod tests {
             // Full quorum leaves every rank at next_round = 5: the fence
             // the survivors will agree on is exactly 5.
             if ctx.rank() == 3 {
-                ar.evict_from(5, &[3]);
+                ar.set_live_from(5, &[0, 1, 2]);
             } else {
-                let fence = ctx.evict(&ar, &[3]);
+                let fence = ctx.reconfigure(&mut ar, &[0, 1, 2]);
                 assert_eq!(fence, 5);
                 for _ in 0..3 {
                     let out = ar.allreduce(&TypedBuf::from(vec![me; 8]));
@@ -464,7 +414,7 @@ mod tests {
             // Shrunken Full-quorum lockstep again: survivors sit at
             // next_round = 8, the evictee still at 5 — the admission
             // fence must be the max, 8.
-            let fence = ctx.admit(&mut ar, &[3]);
+            let fence = ctx.reconfigure(&mut ar, &[0, 1, 2, 3]);
             assert_eq!(fence, 8, "rank {}", ctx.rank());
             assert_eq!(ar.live_ranks(), vec![0, 1, 2, 3]);
             assert_eq!(ar.evicted_ranks(), Vec::<usize>::new());
@@ -492,6 +442,66 @@ mod tests {
                     assert_eq!(*s, want, "rank {rank} round {r}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn changes_at_one_fence_never_reuse_consensus_ids() {
+        // Two evictions land on the same fence (5), then everyone is
+        // re-admitted with rank 0 late to the admission fence. Each
+        // change must take fresh consensus ids: reusing the second
+        // eviction's ids would let rank 0's stale fence state drop its
+        // peers' round-0 fence messages as late, and the admission
+        // would never complete.
+        let p = 4;
+        let world = std::thread::spawn(move || {
+            World::launch(WorldConfig::instant(p), move |c| {
+                let ctx = RankCtx::new(c);
+                let mut ar = ctx.partial_allreduce(
+                    DType::F32,
+                    8,
+                    ReduceOp::Sum,
+                    QuorumPolicy::Full,
+                    PartialOpts::default(),
+                );
+                let me = ctx.rank() as f32 + 1.0; // contributions 1..=4
+                for _ in 0..5 {
+                    ar.allreduce(&TypedBuf::from(vec![me; 8]));
+                }
+                // Full-quorum lockstep: every fence below is exactly 5,
+                // so ranks outside a change can apply it locally.
+                match ctx.rank() {
+                    3 => ar.set_live_from(5, &[0, 1, 2]),
+                    _ => assert_eq!(ctx.reconfigure(&mut ar, &[0, 1, 2]), 5),
+                }
+                match ctx.rank() {
+                    2 | 3 => ar.set_live_from(5, &[0, 1]),
+                    _ => assert_eq!(ctx.reconfigure(&mut ar, &[0, 1]), 5),
+                }
+                if ctx.rank() == 0 {
+                    std::thread::sleep(std::time::Duration::from_millis(300));
+                }
+                let fence = ctx.reconfigure(&mut ar, &[0, 1, 2, 3]);
+                assert_eq!(ar.eviction_epoch(), 3);
+                let out = ar.allreduce(&TypedBuf::from(vec![me; 8]));
+                ctx.finalize();
+                (fence, out.data.as_f32().unwrap()[0])
+            })
+        });
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        while !world.is_finished() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the admission fence deadlocked"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+        let out = world
+            .join()
+            .unwrap_or_else(|e| std::panic::resume_unwind(e));
+        for (rank, (fence, sum)) in out.iter().enumerate() {
+            assert_eq!(*fence, 5, "rank {rank} fence");
+            assert_eq!(*sum, 10.0, "rank {rank} sum");
         }
     }
 

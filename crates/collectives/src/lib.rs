@@ -38,8 +38,8 @@ pub mod topology;
 
 pub use ctx::RankCtx;
 pub use partial::{
-    AllreduceOutcome, EvictionLog, MembershipLog, PartialAllreduce, PartialOpts, PolicyTimeline,
-    QuorumPolicy, RoundEvent, RoundObserver, RoundTrace, StaleMode,
+    AllreduceOutcome, MembershipLog, PartialAllreduce, PartialOpts, PolicyTimeline, QuorumPolicy,
+    RoundEvent, RoundObserver, RoundTrace, StaleMode,
 };
 pub use select::{AlgoSelector, AllreduceAlgo};
 pub use sim::{Hiccup, Pacing, SimHarness, SimReport, SimSpec, WindowStats};

@@ -209,22 +209,22 @@ impl PolicyTimeline {
 /// [`PolicyTimeline`]: the live ranks agree (via the same decide → fence
 /// consensus the policy switches use) on a round `F` from which the live
 /// set *changes* — shrinking when survivors evict a dead rank, growing
-/// when they re-admit a joiner. Rounds before `F` keep their previous
-/// schedule shape (in-flight instances complete through the engine's
-/// peer-down null synthesis); rounds ≥ `F` are built over the new live
-/// set — candidates are drawn from live ranks only, no message is ever
-/// addressed to an absent rank, and the data phase falls back to the
-/// any-P segmented ring when the live population is not a power of two.
+/// when they re-admit a joiner, or both at once. Rounds before `F` keep
+/// their previous schedule shape (in-flight instances complete through
+/// the engine's peer-down null synthesis); rounds ≥ `F` are built over
+/// the new live set — candidates are drawn from live ranks only, no
+/// message is ever addressed to an absent rank, and the data phase falls
+/// back to the any-P segmented ring when the live population is not a
+/// power of two.
 ///
 /// SPMD contract: identical segments on every live rank, and a segment
 /// for round `F` must be applied on every participant of round `F`
 /// (survivors *and* joiners) before any rank can send a message for
-/// round `F` (see [`crate::RankCtx::evict`] and
-/// [`crate::RankCtx::admit`]).
+/// round `F` (see [`crate::RankCtx::reconfigure`]).
 #[derive(Debug)]
 pub struct MembershipLog {
-    /// `(from_round, sorted live ranks)`, strictly increasing in
-    /// `from_round`.
+    /// `(from_round, sorted live ranks)`, nondecreasing in `from_round`:
+    /// two changes agreed at one fence both stay, the newer one last.
     segments: Mutex<Vec<(u64, Vec<Rank>)>>,
     /// False until the first membership change lands: lets the per-round
     /// hot paths skip the lock and the live-set clone while the world is
@@ -237,10 +237,6 @@ pub struct MembershipLog {
     /// Initial world size (the `p` every global rank id lives in).
     p: usize,
 }
-
-/// The pre-rejoin name of [`MembershipLog`], kept as an alias: a log
-/// whose segments could only shrink.
-pub type EvictionLog = MembershipLog;
 
 impl MembershipLog {
     /// A log where all `p` ranks are live from round 0.
@@ -276,70 +272,40 @@ impl MembershipLog {
         (live.len() != self.p).then_some(live)
     }
 
-    /// Mark `dead` as evicted for every round ≥ `from_round`. Panics if
-    /// `from_round` precedes the current tail segment (append-only, like
-    /// the policy timeline).
-    pub fn evict_from(&self, from_round: u64, dead: &[Rank]) {
-        let mut segs = self.segments.lock();
-        let (tail_from, tail_live) = segs.last().cloned().expect("membership log never empty");
-        assert!(
-            from_round >= tail_from,
-            "membership segments are append-only: {from_round} < {tail_from}"
-        );
-        let live: Vec<Rank> = tail_live
-            .iter()
-            .copied()
-            .filter(|r| !dead.contains(r))
-            .collect();
-        if live.len() == tail_live.len() {
-            return; // all already evicted
-        }
-        assert!(!live.is_empty(), "cannot evict the last live rank");
-        if from_round == tail_from {
-            segs.last_mut().expect("membership log never empty").1 = live;
-        } else {
-            segs.push((from_round, live));
-        }
-        self.changed.store(true, Ordering::Release);
-    }
-
-    /// Re-admit `joiners` for every round ≥ `from_round` — the grow
-    /// direction of [`MembershipLog::evict_from`]. Panics if `from_round`
-    /// precedes the current tail segment or a joiner is outside the
-    /// original world (rank ids are stable across evictions; growth
-    /// re-admits previously evicted ranks, it does not mint new ids).
-    pub fn admit_from(&self, from_round: u64, joiners: &[Rank]) {
-        let mut segs = self.segments.lock();
-        let (tail_from, tail_live) = segs.last().cloned().expect("membership log never empty");
-        assert!(
-            from_round >= tail_from,
-            "membership segments are append-only: {from_round} < {tail_from}"
-        );
-        let mut live = tail_live.clone();
-        for &j in joiners {
-            assert!(
-                j < self.p,
-                "joiner {j} outside the original world {}",
-                self.p
-            );
-            if !live.contains(&j) {
-                live.push(j);
-            }
-        }
-        if live.len() == tail_live.len() {
-            return; // all already live
-        }
+    /// Make `live` the live set of every round ≥ `from_round` — the one
+    /// segment writer, for evictions and admissions alike. It always
+    /// appends, also at the tail's own boundary (the newer segment wins
+    /// the lookup there), so [`MembershipLog::epoch`] counts every change
+    /// ever applied. No-op when `live` already is the tail live set.
+    /// Panics if `from_round` precedes the tail segment (append-only, like
+    /// the policy timeline), if `live` is empty, or if it names a rank
+    /// outside the original world (rank ids are stable: growth re-admits
+    /// previously evicted ranks, it does not mint new ids).
+    pub fn set_from(&self, from_round: u64, live: &[Rank]) {
+        let mut live = live.to_vec();
         live.sort_unstable();
-        if from_round == tail_from {
-            segs.last_mut().expect("membership log never empty").1 = live;
-        } else {
-            segs.push((from_round, live));
+        live.dedup();
+        assert!(!live.is_empty(), "the live set cannot be empty");
+        assert!(
+            live.iter().all(|&r| r < self.p),
+            "live set {live:?} names a rank outside the original world {}",
+            self.p
+        );
+        let mut segs = self.segments.lock();
+        let (tail_from, tail_live) = segs.last().expect("membership log never empty");
+        assert!(
+            from_round >= *tail_from,
+            "membership segments are append-only: {from_round} < {tail_from}"
+        );
+        if *tail_live == live {
+            return;
         }
+        segs.push((from_round, live));
         self.changed.store(true, Ordering::Release);
     }
 
-    /// Number of membership events (evictions + admissions) applied so
-    /// far.
+    /// Number of membership events (evictions, admissions, or both at
+    /// once) applied so far.
     pub fn epoch(&self) -> usize {
         self.segments.lock().len() - 1
     }
@@ -362,7 +328,7 @@ impl MembershipLog {
     /// segment history wholesale before entering its first round back.
     /// Panics if this log has already recorded events of its own (the
     /// two histories cannot be merged), if the segments don't start at
-    /// round 0, or if boundaries are not strictly increasing.
+    /// round 0, or if boundaries decrease.
     pub fn import(&self, segments: Vec<(u64, Vec<Rank>)>) {
         let mut segs = self.segments.lock();
         assert!(
@@ -375,8 +341,8 @@ impl MembershipLog {
             "imported segments must start at round 0"
         );
         assert!(
-            segments.windows(2).all(|w| w[0].0 < w[1].0),
-            "imported segment boundaries must strictly increase"
+            segments.windows(2).all(|w| w[0].0 <= w[1].0),
+            "imported segment boundaries must not decrease"
         );
         let had_events = segments.len() > 1;
         *segs = segments;
@@ -916,42 +882,26 @@ impl PartialAllreduce {
         self.timeline.switch_count()
     }
 
-    /// Mark `dead` as evicted for every round ≥ `from_round`: those
-    /// rounds build their schedules over the surviving live set only
-    /// (candidates included), while earlier in-flight rounds complete
-    /// through the engine's peer-down null synthesis.
+    /// Make `live` the live set of every round ≥ `from_round`: those
+    /// rounds build their schedules over `live` only (candidates
+    /// included), while earlier in-flight rounds complete through the
+    /// engine's peer-down null synthesis. One call covers evictions,
+    /// admissions, and both at once.
     ///
     /// Same SPMD + consensus contract as
-    /// [`PartialAllreduce::set_policy_from`]: every survivor must apply
-    /// the identical eviction, and no rank may enter round `from_round`
-    /// before every survivor has applied it. [`crate::RankCtx::evict`]
-    /// packages the fence protocol that provides this ordering; the
-    /// simulation harness applies it omnisciently at one virtual instant.
-    pub fn evict_from(&self, from_round: u64, dead: &[Rank]) {
+    /// [`PartialAllreduce::set_policy_from`]: every participant of round
+    /// `from_round` (survivors and joiners alike) must apply the
+    /// identical change, and no rank may enter round `from_round` before
+    /// all of them have. [`crate::RankCtx::reconfigure`] packages the
+    /// fence protocol that provides this ordering; the simulation harness
+    /// applies it omnisciently at one virtual instant.
+    pub fn set_live_from(&self, from_round: u64, live: &[Rank]) {
         assert!(
             from_round >= self.next_round,
-            "cannot evict from round {from_round}: rounds < {} were already requested",
+            "cannot reconfigure from round {from_round}: rounds < {} were already requested",
             self.next_round
         );
-        self.membership.evict_from(from_round, dead);
-    }
-
-    /// Re-admit `joiners` for every round ≥ `from_round`: those rounds
-    /// build their schedules over the grown live set — the reverse of
-    /// [`PartialAllreduce::evict_from`], with the same SPMD + consensus
-    /// contract. Every participant of round `from_round` (survivors and
-    /// joiners alike) must apply the identical admission, and no rank
-    /// may enter round `from_round` before all of them have.
-    /// [`crate::RankCtx::admit`] packages the admission-fence protocol
-    /// that provides this ordering; the simulation harness applies it
-    /// omnisciently at one virtual instant.
-    pub fn admit_from(&self, from_round: u64, joiners: &[Rank]) {
-        assert!(
-            from_round >= self.next_round,
-            "cannot admit from round {from_round}: rounds < {} were already requested",
-            self.next_round
-        );
-        self.membership.admit_from(from_round, joiners);
+        self.membership.set_from(from_round, live);
     }
 
     /// The ranks live in the current tail segment (i.e. not currently
@@ -965,8 +915,8 @@ impl PartialAllreduce {
         self.membership.evicted()
     }
 
-    /// Number of membership events (evictions + admissions) applied so
-    /// far.
+    /// Number of membership changes applied so far (it names the
+    /// consensus collectives of the next [`crate::RankCtx::reconfigure`]).
     pub fn eviction_epoch(&self) -> usize {
         self.membership.epoch()
     }
@@ -1559,6 +1509,68 @@ mod tests {
         assert_eq!(t.policy_at(4), QuorumPolicy::Majority);
         assert_eq!(t.policy_at(100), QuorumPolicy::Majority);
         assert_eq!(t.switch_count(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "append-only")]
+    fn membership_log_rejects_rewrites() {
+        let m = MembershipLog::new(4);
+        m.set_from(10, &[0, 1, 2]);
+        m.set_from(5, &[0, 1]);
+    }
+
+    #[test]
+    fn membership_log_shrinks_and_grows_back() {
+        let m = MembershipLog::new(4);
+        assert_eq!(m.live_if_partial(0), None);
+        m.set_from(5, &[0, 1, 3]);
+        m.set_from(9, &[3, 1, 0, 2]); // order is irrelevant
+        assert_eq!(m.live_if_partial(4), None);
+        assert_eq!(m.live_if_partial(5), Some(vec![0, 1, 3]));
+        assert_eq!(m.live_if_partial(8), Some(vec![0, 1, 3]));
+        assert_eq!(m.live_if_partial(9), None);
+        assert_eq!(m.live_if_partial(100), None);
+        assert_eq!(m.evicted(), Vec::<Rank>::new());
+        assert_eq!(m.epoch(), 2);
+    }
+
+    #[test]
+    fn membership_log_keeps_every_change_at_one_boundary() {
+        let m = MembershipLog::new(4);
+        m.set_from(5, &[0, 1, 2]);
+        m.set_from(5, &[0, 1]);
+        assert_eq!(m.live_at(4), vec![0, 1, 2, 3]);
+        assert_eq!(m.live_at(5), vec![0, 1]);
+        assert_eq!(m.evicted(), vec![2, 3]);
+        assert_eq!(m.epoch(), 2);
+        m.set_from(5, &[0, 1]); // no-op: the tail already holds it
+        assert_eq!(m.epoch(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the original world")]
+    fn membership_log_rejects_unknown_ranks() {
+        MembershipLog::new(4).set_from(1, &[0, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot be empty")]
+    fn membership_log_rejects_an_empty_live_set() {
+        MembershipLog::new(4).set_from(1, &[]);
+    }
+
+    #[test]
+    fn membership_log_imports_equal_boundaries() {
+        let src = MembershipLog::new(4);
+        src.set_from(5, &[0, 1, 2]);
+        src.set_from(5, &[0, 1]);
+        src.set_from(8, &[0, 1, 2, 3]);
+        let joiner = MembershipLog::new(4);
+        joiner.import(src.segments());
+        assert_eq!(joiner.segments(), src.segments());
+        assert_eq!(joiner.epoch(), 3);
+        assert_eq!(joiner.live_if_partial(5), Some(vec![0, 1]));
+        assert_eq!(joiner.live_if_partial(8), None);
     }
 
     #[test]

@@ -229,10 +229,8 @@ pub struct SimHarness {
     window_start_time: Duration,
     window_start_fresh: u64,
     /// Whether the fault plan can change membership (gates the per-event
-    /// death scan so fault-free runs pay nothing).
+    /// membership check so fault-free runs pay nothing).
     chaos: bool,
-    /// Ranks this harness has already evicted from every timeline.
-    evicted: Vec<bool>,
     /// `(fence_round, ranks evicted)` in application order.
     evictions: Vec<(u64, Vec<Rank>)>,
     /// `(fence_round, ranks re-admitted)` in application order.
@@ -300,7 +298,6 @@ impl SimHarness {
             window_start_time: Duration::ZERO,
             window_start_fresh: 0,
             chaos,
-            evicted: vec![false; p],
             evictions: Vec::new(),
             rejoins: Vec::new(),
         }
@@ -397,11 +394,18 @@ impl SimHarness {
                     self.poll_outcome(dst);
                 }
                 SimEvent::Rejoin { rank } => {
-                    self.apply_rejoin(rank);
+                    if self.ranks[rank].ar.live_ranks().contains(&rank) {
+                        // Back before any fence removed it: nothing to
+                        // reverse, just resume its deposit schedule.
+                        self.resume_deposits(rank, self.ranks[rank].deposited);
+                    }
                 }
             }
             if self.chaos {
-                self.apply_evictions();
+                // Kills happen inside `step` and rejoins surface above;
+                // either way the live set to fence is the sim's.
+                let live = self.sim.live_ranks();
+                self.reconfigure(&live);
             }
         }
 
@@ -450,71 +454,61 @@ impl SimHarness {
         }
     }
 
-    /// Evict freshly-dead ranks from every surviving timeline, at a fence
-    /// no rank has built past. The harness owns *every* rank's frontend —
-    /// the dead ones included — so unlike the TCP path it reads the fence
-    /// directly (`max` of all horizons) instead of running the survivors'
-    /// Max-allreduce consensus; the schedules that result are identical.
-    /// Applied between events, i.e. at a single virtual instant, which is
-    /// the sim's stand-in for the decide → fence → barrier protocol of
-    /// [`crate::ctx::RankCtx::evict`].
-    fn apply_evictions(&mut self) {
-        let newly: Vec<Rank> = (0..self.ranks.len())
-            .filter(|&r| self.sim.is_dead(r) && !self.evicted[r])
+    /// Move every frontend to the live set `live` at a fence no rank has
+    /// built past — the harness's stand-in for
+    /// [`crate::ctx::RankCtx::reconfigure`]. The harness owns *every*
+    /// rank's frontend, the dead ones included, so instead of running the
+    /// Max-allreduce consensus it reads the fence directly as the `max` of
+    /// all horizons, and applies the change between events, at a single
+    /// virtual instant; the schedules that result are identical. No-op
+    /// when `live` already is the live set.
+    ///
+    /// The change lands on every frontend, the dead ones too: a corpse's
+    /// timeline is inert (its timers are skipped), but keeping its
+    /// membership log in lockstep is what lets a later scripted
+    /// [`Fault::Rejoin`] re-admit it — the sim's stand-in for the state
+    /// transfer a relaunched TCP worker receives over the rendezvous
+    /// connection. A joiner fast-forwards to the fence (the rounds it
+    /// missed ran without it) and its deposit timer is re-seeded so its
+    /// first contribution back is exactly round `fence`.
+    fn reconfigure(&mut self, live: &[Rank]) {
+        let current = self.ranks[0].ar.live_ranks();
+        if current == live {
+            return;
+        }
+        let fence = self.ranks.iter().map(|r| r.ar.horizon()).max().unwrap_or(0);
+        let leavers: Vec<Rank> = current
+            .iter()
+            .copied()
+            .filter(|r| !live.contains(r))
             .collect();
-        if newly.is_empty() {
-            return;
-        }
-        let fence = self.ranks.iter().map(|r| r.ar.horizon()).max().unwrap_or(0);
-        // Applied on *every* frontend, the dead ones included: a corpse's
-        // timeline is inert (its timers are skipped), but keeping its
-        // membership log in lockstep is what lets a later scripted
-        // [`Fault::Rejoin`] re-admit it with matching epochs — the sim's
-        // stand-in for the admission state transfer a relaunched TCP
-        // worker receives over the rendezvous connection.
+        let joiners: Vec<Rank> = live
+            .iter()
+            .copied()
+            .filter(|r| !current.contains(r))
+            .collect();
         for r in &self.ranks {
-            r.ar.evict_from(fence, &newly);
+            r.ar.set_live_from(fence, live);
         }
-        for &r in &newly {
-            self.evicted[r] = true;
+        for &j in &joiners {
+            self.resume_deposits(j, fence);
         }
-        self.evictions.push((fence, newly));
+        if !leavers.is_empty() {
+            self.evictions.push((fence, leavers));
+        }
+        if !joiners.is_empty() {
+            self.rejoins.push((fence, joiners));
+        }
     }
 
-    /// Reverse an eviction for `joiner` at an admission fence no rank has
-    /// built past — the eviction fence run backwards. The harness owns
-    /// every frontend, so (exactly as in [`SimHarness::apply_evictions`])
-    /// it reads the fence directly as the `max` of all horizons instead
-    /// of running the live set's Max-allreduce; the schedules that result
-    /// are identical to [`crate::ctx::RankCtx::admit`]'s. The joiner
-    /// fast-forwards to the fence (the rounds it missed are gone — they
-    /// ran over the shrunken world) and its deposit timer is re-seeded so
-    /// its first post-rejoin contribution is exactly round `fence`.
-    fn apply_rejoin(&mut self, joiner: usize) {
-        if !self.evicted[joiner] {
-            // Back before anyone evicted it: nothing to reverse — just
-            // resume its deposit schedule where it stopped.
-            let round = self.ranks[joiner].deposited;
-            self.ranks[joiner].waiting = None;
-            self.reseed_deposit_timer(joiner, round);
-            return;
-        }
-        let fence = self.ranks.iter().map(|r| r.ar.horizon()).max().unwrap_or(0);
-        let joiners = vec![joiner];
-        self.ranks[joiner].ar.fast_forward_to(fence);
-        self.ranks[joiner].deposited = fence.min(self.spec.rounds);
-        self.ranks[joiner].waiting = None;
-        for r in &self.ranks {
-            r.ar.admit_from(fence, &joiners);
-        }
-        self.evicted[joiner] = false;
-        self.reseed_deposit_timer(joiner, fence);
-        self.rejoins.push((fence, joiners));
-    }
-
-    /// Schedule `rank`'s next deposit timer for `round` after a rejoin
-    /// (the sim clamps instants already in the past to "now").
-    fn reseed_deposit_timer(&mut self, rank: usize, round: u64) {
+    /// Restart a rejoined `rank` at `round`: fast-forward its frontend,
+    /// clear its wait, and schedule its deposit timer (the sim clamps
+    /// instants already in the past to "now").
+    fn resume_deposits(&mut self, rank: usize, round: u64) {
+        let r = &mut self.ranks[rank];
+        r.ar.fast_forward_to(round);
+        r.deposited = round.min(self.spec.rounds);
+        r.waiting = None;
         if round >= self.spec.rounds {
             return;
         }

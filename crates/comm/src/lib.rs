@@ -5,8 +5,8 @@
 //! Cray MPICH played in the paper: reliable, tagged, point-to-point message
 //! delivery between `P` ranks.
 //!
-//! Three [`Transport`] backends sit behind the same [`CommHandle`] /
-//! [`Inbox`] API:
+//! Three backends sit behind the same [`CommHandle`] / [`Inbox`] API (the
+//! first two are the [`Transport`] choices of [`World::launch_with`]):
 //!
 //! - **In-process** (the [`World::launch`] default): ranks are OS threads
 //!   inside one process, messages move over channels — zero setup cost,
@@ -17,7 +17,7 @@
 //!   an orderly goodbye handshake — real process-level SPMD, honest
 //!   latency, and a process-skew scenario axis (see the [`transport`]
 //!   module).
-//! - **Sim** ([`sim::SimWorld`], `--transport sim`): a single-process
+//! - **Sim** ([`sim::SimWorld`], driven event by event): a single-process
 //!   discrete-event simulator with a virtual [`Clock`], a priority-queue
 //!   event schedule, and deliveries drawn from a region-to-region
 //!   [`sim::Planet`] latency matrix composed with the [`NetworkModel`] —

@@ -1,4 +1,4 @@
-//! `Transport::Sim`: a single-process discrete-event network simulator.
+//! `SimWorld`: a single-process discrete-event network simulator.
 //!
 //! The third transport. Where the in-process backend runs ranks as
 //! threads and the TCP backend runs them as processes, the simulator runs
@@ -547,25 +547,7 @@ impl SimWorld {
             return;
         }
         self.dead[rank] = true;
-        let now = self.clock.now();
-        for dst in 0..self.cfg.nranks {
-            if dst == rank || self.dead[dst] {
-                continue;
-            }
-            self.heap.push(Reverse(SimEntry {
-                due: now,
-                seq: self.seq,
-                kind: EventKind::Deliver {
-                    src: rank,
-                    dst,
-                    env: Envelope::PeerDown { peer: rank },
-                    delay_ns: 0,
-                    held_ns: 0,
-                    held_behind: 0,
-                },
-            }));
-            self.seq += 1;
-        }
+        self.notify_live(rank, || Envelope::PeerDown { peer: rank });
     }
 
     /// Bring a killed `rank` back *now*: clears its dead flag, re-admits
@@ -583,40 +565,49 @@ impl SimWorld {
             return;
         }
         self.dead[rank] = false;
-        let now = self.clock.now();
-        for r in 0..self.cfg.nranks {
-            if r == rank || self.dead[r] {
+        for q in 0..self.cfg.nranks {
+            if self.dead[q] {
+                self.memberships[rank].report_down(q);
                 continue;
             }
-            self.memberships[r].readmit(rank);
-            // Mirror [`SimWorld::kill`]'s PeerDown fan-out: every
-            // survivor's engine must drop its null-synthesis verdict for
-            // the joiner before rounds past the admission fence are
-            // built, or the joiner's contributions stay nulled forever.
-            // Pushed after the Rejoin event that surfaced this call, so
-            // drivers run the admission protocol first, then the engines
-            // learn of the comeback — still before any post-fence
-            // deposit timer can fire.
+            self.memberships[rank].readmit(q);
+            if q != rank {
+                self.memberships[q].readmit(rank);
+            }
+        }
+        // Mirror [`SimWorld::kill`]'s PeerDown fan-out: every survivor's
+        // engine must drop its null-synthesis verdict for the joiner
+        // before rounds past the admission fence are built, or the
+        // joiner's contributions stay nulled forever. Pushed after the
+        // Rejoin event that surfaced this call, so drivers run the
+        // admission protocol first, then the engines learn of the
+        // comeback — still before any post-fence deposit timer can fire.
+        self.notify_live(rank, || Envelope::PeerUp { peer: rank });
+    }
+
+    /// Deliver `env()` from `src` to every other live rank at the current
+    /// virtual instant, unmodeled: the [`Envelope::PeerDown`] /
+    /// [`Envelope::PeerUp`] fan-out of [`SimWorld::kill`] and
+    /// [`SimWorld::rejoin`].
+    fn notify_live(&mut self, src: Rank, env: impl Fn() -> Envelope) {
+        let now = self.clock.now();
+        for dst in 0..self.cfg.nranks {
+            if dst == src || self.dead[dst] {
+                continue;
+            }
             self.heap.push(Reverse(SimEntry {
                 due: now,
                 seq: self.seq,
                 kind: EventKind::Deliver {
-                    src: rank,
-                    dst: r,
-                    env: Envelope::PeerUp { peer: rank },
+                    src,
+                    dst,
+                    env: env(),
                     delay_ns: 0,
                     held_ns: 0,
                     held_behind: 0,
                 },
             }));
             self.seq += 1;
-        }
-        for q in 0..self.cfg.nranks {
-            if self.dead[q] {
-                self.memberships[rank].report_down(q);
-            } else {
-                self.memberships[rank].readmit(q);
-            }
         }
     }
 

@@ -49,11 +49,12 @@
 //!   stay alive for the whole run. A relaunched worker (env
 //!   `PCOLL_TCP_REJOIN=1`, or automatic under [`TcpOpts::respawn`])
 //!   re-registers with the parent, dials every live peer — whose accept
-//!   threads splice a fresh connection into the dead rank's slot — and
-//!   fetches the state it missed through the parent's blackboard
-//!   ([`RendezvousClient`]); the app layer then runs the admission
-//!   fence (`RankCtx::admit` in the `pcoll` crate) to bring it back
-//!   into the collectives.
+//!   threads splice a fresh connection into the dead rank's slot and
+//!   acknowledge it, so the launch returns only once every live peer
+//!   routes to the new process — and fetches the state it missed
+//!   through the parent's blackboard ([`RendezvousClient`]); the app
+//!   layer then runs the membership fence (`RankCtx::reconfigure` in
+//!   the `pcoll` crate) to bring it back into the collectives.
 //!
 //! A binary may contain several `launch_tcp` call sites; each is named by
 //! [`TcpOpts::label`], and a worker process only serves the call site
@@ -64,7 +65,7 @@
 use crate::membership::Membership;
 use crate::net::spawn_network;
 use crate::pool::FRAME_POOL;
-use crate::sim::{SimOpts, SimRoute};
+use crate::sim::SimRoute;
 use crate::stats::CommStats;
 use crate::tag::{CollId, Message, Rank, WireTag};
 use crate::world::{CommHandle, Communicator, Envelope, Inbox, WorldConfig};
@@ -93,23 +94,15 @@ pub enum Transport {
     InProcess,
     /// One OS process per rank over loopback TCP.
     Tcp(TcpOpts),
-    /// Single-process discrete-event simulation (see [`crate::sim`]).
-    /// Under [`crate::World::launch_with`] the same SPMD closure runs
-    /// thread-per-rank with the planet's region latencies composed into
-    /// the delivery thread (co-simulation over wall time); the pure
-    /// virtual-time path is [`crate::sim::SimWorld`], driven event by
-    /// event from one thread.
-    Sim(SimOpts),
 }
 
 impl Transport {
-    /// Parse a `--transport` flag value (`inproc` / `tcp` / `sim`); the
+    /// Parse a `--transport` flag value (`inproc` / `tcp`); the
     /// TCP variant gets `label` as its launch-site label.
     pub fn parse(s: &str, label: &str) -> Option<Transport> {
         match s {
             "inproc" | "in-process" | "thread" => Some(Transport::InProcess),
             "tcp" => Some(Transport::Tcp(TcpOpts::labeled(label))),
-            "sim" => Some(Transport::Sim(SimOpts::default())),
             _ => None,
         }
     }
@@ -372,6 +365,10 @@ const FRAME_GOODBYE: u8 = 2;
 /// Keep-alive on an otherwise idle connection: consumed by the peer's
 /// reader as a liveness observation, never delivered upward.
 const FRAME_HEARTBEAT: u8 = 3;
+/// Not a frame: the byte a mid-run mesh accept answers a rejoiner's rank
+/// id with once its slot routes to the new connection (see
+/// `mesh_accept_loop`).
+const SPLICE_ACK: u8 = 0xA5;
 
 /// How long a writer sits idle before sending a [`FRAME_HEARTBEAT`]. Long
 /// enough that busy links never emit one (data traffic is its own
@@ -1458,27 +1455,31 @@ fn spawn_worker_process(
         .unwrap_or_else(|e| panic!("spawn tcp rank worker {rank}: {e}"))
 }
 
-/// Spawn the writer/reader thread pair for one mesh connection; returns
-/// the writer's command queue plus both join handles.
-#[allow(clippy::too_many_arguments)]
+/// Route `peer` through one mesh connection: install a fresh writer
+/// queue in its slot, then spawn the writer/reader thread pair; returns
+/// both join handles. With `splice_ack`, [`SPLICE_ACK`] goes out on the
+/// socket after the slot swap and before any frame, so a dialing
+/// rejoiner that reads it knows this rank's sends reach it.
 fn spawn_peer_threads(
     stream: TcpStream,
-    rank: Rank,
     peer: Rank,
-    membership: &Arc<Membership>,
-    inbox_tx: &Sender<Envelope>,
+    peers: &TcpPeers,
     stats: &Arc<CommStats>,
     queue_capacity: usize,
     queue_deadline: Duration,
-) -> (
-    Sender<PeerCmd>,
-    std::thread::JoinHandle<()>,
-    std::thread::JoinHandle<()>,
-) {
+    splice_ack: bool,
+) -> (std::thread::JoinHandle<()>, std::thread::JoinHandle<()>) {
     let read_half = stream.try_clone().expect("clone mesh stream");
     let (tx, rx) = bounded(queue_capacity);
-    let writer_membership = Arc::clone(membership);
-    let writer_inbox = inbox_tx.clone();
+    peers.swap_peer(peer, tx);
+    if splice_ack {
+        // A failed ack means the dialer is gone again; the writer's
+        // first send reports it down.
+        let _ = (&stream).write_all(&[SPLICE_ACK]);
+    }
+    let rank = peers.rank;
+    let writer_membership = Arc::clone(&peers.membership);
+    let writer_inbox = peers.local.clone();
     let writer_stats = Arc::clone(stats);
     let w = std::thread::Builder::new()
         .name(format!("pcoll-tcpw-{rank}-{peer}"))
@@ -1493,9 +1494,9 @@ fn spawn_peer_threads(
             )
         })
         .expect("spawn writer");
-    let inbox = inbox_tx.clone();
+    let inbox = peers.local.clone();
     let reader_stats = Arc::clone(stats);
-    let reader_membership = Arc::clone(membership);
+    let reader_membership = Arc::clone(&peers.membership);
     let r = std::thread::Builder::new()
         .name(format!("pcoll-tcpr-{rank}-{peer}"))
         .spawn(move || {
@@ -1509,29 +1510,27 @@ fn spawn_peer_threads(
             )
         })
         .expect("spawn reader");
-    (tx, w, r)
+    (w, r)
 }
 
 /// Mid-run mesh accept loop: the mesh listener outlives initial setup so
 /// an evicted-and-relaunched rank can dial back in. Each accepted
-/// connection identifies itself with the usual 4-byte rank id and gets a
-/// fresh writer/reader pair spliced into its slot. The rank's `Down`
-/// mark stays until the app-level admission fence calls
+/// connection identifies itself with the usual 4-byte rank id, gets a
+/// fresh writer/reader pair spliced into its slot, and is answered with
+/// [`SPLICE_ACK`] once the slot routes to it. The rank's `Down` mark
+/// stays until the app-level admission fence calls
 /// [`Membership::readmit`] — sends stay suppressed until the world has
 /// actually agreed to take the rank back.
-#[allow(clippy::too_many_arguments)]
 fn mesh_accept_loop(
     listener: TcpListener,
-    rank: Rank,
     nranks: usize,
     peers: Arc<TcpPeers>,
-    membership: Arc<Membership>,
-    inbox_tx: Sender<Envelope>,
     stats: Arc<CommStats>,
     queue_capacity: usize,
     queue_deadline: Duration,
     stop: Arc<AtomicBool>,
 ) {
+    let rank = peers.rank;
     let _ = listener.set_nonblocking(true);
     let mut spliced = Vec::new();
     while !stop.load(Ordering::Acquire) {
@@ -1552,17 +1551,15 @@ fn mesh_accept_loop(
                     eprintln!("pcoll-comm: ignoring stray mesh connection (id {peer})");
                     continue;
                 }
-                let (tx, w, r) = spawn_peer_threads(
+                let (w, r) = spawn_peer_threads(
                     s,
-                    rank,
                     peer,
-                    &membership,
-                    &inbox_tx,
+                    &peers,
                     &stats,
                     queue_capacity,
                     queue_deadline,
+                    true,
                 );
-                peers.swap_peer(peer, tx);
                 spliced.push(w);
                 spliced.push(r);
             }
@@ -1690,6 +1687,16 @@ where
             s.set_nodelay(true).expect("nodelay");
             (&s).write_all(&(rank as u32).to_le_bytes())
                 .expect("send mesh id");
+            // Wait until the peer routes its sends to this connection:
+            // until then they still go to the dead incarnation's writer
+            // and are lost, so the app must not learn it is connected.
+            let wait = deadline.saturating_duration_since(Instant::now());
+            s.set_read_timeout(Some(wait.max(Duration::from_millis(1))))
+                .expect("ack timeout");
+            let mut ack = [0u8; 1];
+            (&s).read_exact(&mut ack).expect("mesh splice ack");
+            assert_eq!(ack[0], SPLICE_ACK, "bad mesh splice ack");
+            s.set_read_timeout(None).expect("clear ack timeout");
             streams[peer] = Some(s);
         }
     } else {
@@ -1750,17 +1757,15 @@ where
     let mut readers = Vec::new();
     for (peer, slot) in streams.into_iter().enumerate() {
         let Some(stream) = slot else { continue };
-        let (tx, w, r) = spawn_peer_threads(
+        let (w, r) = spawn_peer_threads(
             stream,
-            rank,
             peer,
-            &membership,
-            &inbox_tx,
+            &peers,
             &stats,
             cfg.queue_capacity,
             cfg.queue_deadline,
+            false,
         );
-        peers.swap_peer(peer, tx);
         writers.push(w);
         readers.push(r);
     }
@@ -1769,8 +1774,6 @@ where
     let accept_stop = Arc::new(AtomicBool::new(false));
     let accept_thread = {
         let peers2 = Arc::clone(&peers);
-        let membership2 = Arc::clone(&membership);
-        let inbox2 = inbox_tx.clone();
         let stats2 = Arc::clone(&stats);
         let stop2 = Arc::clone(&accept_stop);
         let (capacity, q_deadline, nranks) = (cfg.queue_capacity, cfg.queue_deadline, cfg.nranks);
@@ -1779,11 +1782,8 @@ where
             .spawn(move || {
                 mesh_accept_loop(
                     mesh_listener,
-                    rank,
                     nranks,
                     peers2,
-                    membership2,
-                    inbox2,
                     stats2,
                     capacity,
                     q_deadline,
@@ -1810,7 +1810,6 @@ where
                 cfg.queue_capacity,
                 cfg.queue_deadline,
                 Arc::clone(&stats),
-                None,
             );
             (Some(h), Some(j))
         }

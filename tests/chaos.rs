@@ -69,7 +69,8 @@ fn tcp_kill_dash_nine_mid_run_is_evicted_and_mass_is_conserved() {
             );
             std::thread::sleep(Duration::from_millis(2));
         }
-        let fence = ctx.evict(&ar, &[VICTIM]);
+        let survivors: Vec<usize> = (0..P).filter(|&r| r != VICTIM).collect();
+        let fence = ctx.reconfigure(&mut ar, &survivors);
         assert!(fence >= PRE, "fence {fence} precedes requested rounds");
         assert_eq!(ar.evicted_ranks(), vec![VICTIM]);
         assert!(ctx.membership().is_evicted(VICTIM));
@@ -255,7 +256,8 @@ fn tcp_killed_rank_is_relaunched_and_readmitted_at_the_admission_fence() {
                 serde_json::from_str(&blob).expect("admit-state parses");
             ar.import_state(policy, membership);
             rz.put("joiner-ready", "true");
-            let fence = ctx.admit(&mut ar, &[RJ_VICTIM]);
+            let everyone: Vec<usize> = (0..RJ_P).collect();
+            let fence = ctx.reconfigure(&mut ar, &everyone);
             assert!(fence >= RJ_PRE, "admission fence {fence} precedes eviction");
             for _ in 0..RJ_POST {
                 let out = ar.allreduce(&TypedBuf::from(vec![1.0f64; 16]));
@@ -287,7 +289,8 @@ fn tcp_killed_rank_is_relaunched_and_readmitted_at_the_admission_fence() {
             );
             std::thread::sleep(Duration::from_millis(2));
         }
-        let evict_fence = ctx.evict(&ar, &[RJ_VICTIM]);
+        let survivors: Vec<usize> = (0..RJ_P).filter(|&r| r != RJ_VICTIM).collect();
+        let evict_fence = ctx.reconfigure(&mut ar, &survivors);
         for _ in 0..RJ_MID {
             let out = ar.allreduce(&TypedBuf::from(vec![1.0f64; 16]));
             sums.push(out.data.as_f64().unwrap()[0]);
@@ -300,7 +303,8 @@ fn tcp_killed_rank_is_relaunched_and_readmitted_at_the_admission_fence() {
             rz.put("admit-state", &state);
         }
         let _ = rz.get("joiner-ready");
-        let admit_fence = ctx.admit(&mut ar, &[RJ_VICTIM]);
+        let everyone: Vec<usize> = (0..RJ_P).collect();
+        let admit_fence = ctx.reconfigure(&mut ar, &everyone);
         assert!(
             admit_fence > evict_fence,
             "admission fence {admit_fence} must follow eviction fence {evict_fence}"
