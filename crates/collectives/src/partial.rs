@@ -18,7 +18,7 @@
 //! fresh data — exactly the paper's "active process" definition used for
 //! the NAP (number of active processes) measurements of Fig. 9.
 
-use crate::builders::{allreduce_schedule, policy_activation_mode, segmented_allreduce_schedule};
+use crate::builders::{allreduce_schedule, segmented_allreduce_schedule, ActivationMode};
 use crate::select::{AlgoSelector, AllreduceAlgo};
 use crate::topology::round_candidates;
 use parking_lot::{Condvar, Mutex};
@@ -258,18 +258,32 @@ impl MembershipLog {
             .expect("membership log starts at round 0")
     }
 
-    /// `Some(live ranks)` when `round` runs over a partial world, `None`
-    /// when all `p` ranks participate — without touching the lock until
-    /// the first membership change has actually happened. A round
-    /// governed by a full-size segment (e.g. after every evicted rank
-    /// rejoined) also returns `None`: a full live set is the identity
-    /// mapping, so the virtual-world compaction is skippable.
-    pub fn live_if_partial(&self, round: u64) -> Option<Vec<Rank>> {
+    /// The segment governing `round`: its index in the log, and its live
+    /// ranks when `round` runs over a partial world (`None` when all `p`
+    /// ranks participate). Until the first membership change this
+    /// touches no lock: failure handling costs nothing while nothing
+    /// fails. Full-size segments (e.g. after every evicted rank rejoined)
+    /// all report index 0 and `None`: they run the same world as the
+    /// initial segment, and a full live set is the identity mapping, so
+    /// the virtual-world compaction is skippable. Segments are
+    /// append-only, so an index names one live set for the log's
+    /// lifetime: the key the schedule cache files its schedules under.
+    pub fn segment_at(&self, round: u64) -> (usize, Option<Vec<Rank>>) {
         if !self.changed.load(Ordering::Acquire) {
-            return None;
+            return (0, None);
         }
-        let live = self.live_at(round);
-        (live.len() != self.p).then_some(live)
+        let segs = self.segments.lock();
+        let (index, (_, live)) = segs
+            .iter()
+            .enumerate()
+            .rev()
+            .find(|(_, (from, _))| *from <= round)
+            .expect("membership log starts at round 0");
+        if live.len() == self.p {
+            (0, None)
+        } else {
+            (index, Some(live.clone()))
+        }
     }
 
     /// Make `live` the live set of every round ≥ `from_round` — the one
@@ -536,9 +550,143 @@ struct Shared {
     built_horizon: AtomicU64,
 }
 
-/// The engine-side template: builds per-round schedules with the policy's
-/// candidate set and implements snapshot/complete against the shared
-/// buffers.
+impl Shared {
+    fn new(dtype: DType, len: usize, opts: PartialOpts) -> Shared {
+        Shared {
+            dtype,
+            len,
+            opts,
+            send: Mutex::new(SendBuf {
+                data: Payload::new(TypedBuf::zeros(dtype, len)),
+                filled: false,
+                last_deposit_round: None,
+                spare: None,
+            }),
+            recv: Mutex::new(RecvBuf {
+                latest_round: None,
+                data: Payload::new(TypedBuf::zeros(dtype, len)),
+            }),
+            cv: Condvar::new(),
+            traces: Mutex::new(HashMap::new()),
+            snap_flags: Mutex::new(HashMap::new()),
+            missed_rounds: AtomicU64::new(0),
+            fresh_rounds: AtomicU64::new(0),
+            completions: AtomicU64::new(0),
+            built_horizon: AtomicU64::new(0),
+        }
+    }
+}
+
+/// This rank's part in one round, worked out once per instance from the
+/// round's policy and candidates. The one value selects both the schedule
+/// and the snapshot timing, so the two can never disagree.
+#[derive(Debug)]
+enum Role {
+    /// Full quorum: no activation broadcast, every rank gates on itself.
+    Full,
+    /// A race candidate (solo, first-of-m): initiates the moment it
+    /// arrives, unless a faster candidate's activation reaches it first.
+    RaceCandidate,
+    /// The sole candidate of a one-link chain: majority's initiator.
+    ChainInitiator,
+    /// Not a candidate: joins when a peer's activation reaches it.
+    Bystander,
+    /// A candidate of a longer chain (candidate order, virtual ranks).
+    /// Its token hops name its chain neighbours, so its schedule is
+    /// specific to the round and never cached.
+    ChainLink(Vec<Rank>),
+}
+
+impl Role {
+    /// The role of virtual rank `vrank` in `round` of a `p`-rank world.
+    fn of(
+        policy: QuorumPolicy,
+        seed: u64,
+        coll: CollId,
+        round: u64,
+        vrank: Rank,
+        p: usize,
+    ) -> Role {
+        let race = match policy {
+            QuorumPolicy::Full => return Role::Full,
+            // Every rank is a solo candidate: no draw needed.
+            QuorumPolicy::Solo => return Role::RaceCandidate,
+            QuorumPolicy::FirstOf(_) => true,
+            QuorumPolicy::Majority | QuorumPolicy::Chain(_) => false,
+        };
+        let candidates = policy.round_candidates(seed, coll, round, p);
+        if !candidates.contains(&vrank) {
+            Role::Bystander
+        } else if race {
+            Role::RaceCandidate
+        } else if candidates.len() == 1 {
+            Role::ChainInitiator
+        } else {
+            Role::ChainLink(candidates)
+        }
+    }
+
+    /// Full quorum and chain candidates gate the round on their own
+    /// arrival, so their contribution must be their fresh deposit even
+    /// if a peer's message created the instance before they arrived.
+    /// Race candidates and bystanders can be dragged in before they
+    /// arrive; their slot is filled at creation (Fig. 7).
+    fn timing(&self) -> SnapshotTiming {
+        match self {
+            Role::Full | Role::ChainInitiator | Role::ChainLink(_) => SnapshotTiming::Activation,
+            Role::RaceCandidate | Role::Bystander => SnapshotTiming::Creation,
+        }
+    }
+
+    /// The activation mode the builders take for this role. The builders
+    /// only ask whether `vrank` may initiate and, in a chain, who its
+    /// neighbours are — so a role without neighbours names just itself.
+    fn mode(&self, vrank: Rank) -> ActivationMode {
+        match self {
+            Role::Full => ActivationMode::Full,
+            Role::RaceCandidate => ActivationMode::Race(vec![vrank]),
+            Role::ChainInitiator => ActivationMode::Chain(vec![vrank]),
+            Role::Bystander => ActivationMode::Race(Vec::new()),
+            Role::ChainLink(chain) => ActivationMode::Chain(chain.clone()),
+        }
+    }
+
+    /// Index of this role's entry in a segment's schedule cache: roles
+    /// that build the same schedule share one (a race candidate and a
+    /// chain's sole candidate both gate the broadcast on their own
+    /// arrival; a bystander never does). `None` for a chain link.
+    fn cache_slot(&self) -> Option<usize> {
+        match self {
+            Role::Full => Some(0),
+            Role::RaceCandidate | Role::ChainInitiator => Some(1),
+            Role::Bystander => Some(2),
+            Role::ChainLink(_) => None,
+        }
+    }
+}
+
+/// Where this rank stands in one round: the membership segment and live
+/// world the round runs in, and its role there.
+struct Seat {
+    /// Index of the governing membership segment (see
+    /// [`MembershipLog::segment_at`]).
+    segment: usize,
+    /// The round's live set, when it is a partial world.
+    live: Option<Vec<Rank>>,
+    /// This rank's id in the (possibly compacted) virtual world.
+    vrank: Rank,
+    role: Role,
+}
+
+/// The engine-side template: hands out per-round schedules with the
+/// policy's candidate set and implements snapshot/complete against the
+/// shared buffers.
+///
+/// Schedules are persistent (§4.1.1): everything a schedule depends on
+/// but the round's role is fixed per membership segment (the live world,
+/// the algorithm, the tensor size), so each distinct schedule is built
+/// and validated once and re-instantiated every round as a shared
+/// `Arc`. Only a chain link's schedule is built per round.
 struct PartialTemplate {
     shared: Arc<Shared>,
     rank: Rank,
@@ -548,38 +696,43 @@ struct PartialTemplate {
     membership: Arc<MembershipLog>,
     seed: u64,
     coll: CollId,
+    /// Built schedules per membership segment, one per
+    /// [`Role::cache_slot`]: at most three per segment, filled lazily.
+    schedules: Mutex<Vec<[Option<Arc<Schedule>>; 3]>>,
+    /// `(round, timing)` of the role the latest `build` derived: the
+    /// engine asks for the snapshot timing right after the build, and
+    /// gets the answer of the same role instead of a second draw.
+    last_timing: Mutex<Option<(u64, SnapshotTiming)>>,
 }
 
-impl CollectiveTemplate for PartialTemplate {
-    fn build(&self, round: u64) -> Schedule {
-        self.shared
-            .built_horizon
-            .fetch_max(round + 1, Ordering::Relaxed);
+impl PartialTemplate {
+    /// This rank's seat in `round`; `None` when it is not live there.
+    fn seat(&self, round: u64) -> Option<Seat> {
         // Rounds after a membership change run over the round's live
         // set: the schedule is built in a virtual world of `p_live`
         // ranks (this rank's virtual id is its index in the sorted live
         // set, and the policy's candidates are drawn from the virtual
         // world) and its peer ids are then remapped back to global
-        // ranks. Healthy runs take the `p_live == p` fast path
-        // untouched.
-        let live = self.membership.live_if_partial(round);
+        // ranks. Healthy runs take the `p_live == p` fast path.
+        let (segment, live) = self.membership.segment_at(round);
         let (vrank, p_live) = match &live {
             None => (self.rank, self.p),
-            Some(live) => {
-                let vrank = live
-                    .iter()
-                    .position(|&r| r == self.rank)
-                    .unwrap_or_else(|| {
-                        panic!(
-                            "rank {} builds round {round} of {:?} but is evicted from it",
-                            self.rank, self.coll
-                        )
-                    });
-                (vrank, live.len())
-            }
+            Some(live) => (live.binary_search(&self.rank).ok()?, live.len()),
         };
         let policy = self.timeline.policy_at(round);
-        let mode = policy_activation_mode(policy, self.seed, self.coll, round, p_live);
+        let role = Role::of(policy, self.seed, self.coll, round, vrank, p_live);
+        Some(Seat {
+            segment,
+            live,
+            vrank,
+            role,
+        })
+    }
+
+    /// Build (and validate) the schedule of `seat` under `mode` from
+    /// scratch, peers remapped to global ranks.
+    fn build_fresh(&self, seat: &Seat, mode: &ActivationMode) -> Schedule {
+        let p_live = seat.live.as_ref().map_or(self.p, Vec::len);
         // The algorithm is a pure function of (size, P) plus the override
         // knob — identical on every rank and every round, so a rank
         // dragged in externally builds the same schedule shape as the
@@ -594,21 +747,49 @@ impl CollectiveTemplate for PartialTemplate {
             AllreduceAlgo::SegmentedRing
         };
         let mut sched = match algo {
-            AllreduceAlgo::RecursiveDoubling => allreduce_schedule(vrank, p_live, self.op, &mode),
+            AllreduceAlgo::RecursiveDoubling => {
+                allreduce_schedule(seat.vrank, p_live, self.op, mode)
+            }
             AllreduceAlgo::SegmentedRing => segmented_allreduce_schedule(
-                vrank,
+                seat.vrank,
                 p_live,
                 self.op,
-                &mode,
+                mode,
                 self.shared.len,
                 selector.segment_elems(self.shared.dtype),
                 selector.pipeline_depth,
             ),
         };
-        if let Some(live) = &live {
+        if let Some(live) = &seat.live {
             sched.remap_peers(live);
         }
         sched
+    }
+}
+
+impl CollectiveTemplate for PartialTemplate {
+    fn build(&self, round: u64) -> Arc<Schedule> {
+        self.shared
+            .built_horizon
+            .fetch_max(round + 1, Ordering::Relaxed);
+        let seat = self.seat(round).unwrap_or_else(|| {
+            panic!(
+                "rank {} builds round {round} of {:?} but is evicted from it",
+                self.rank, self.coll
+            )
+        });
+        *self.last_timing.lock() = Some((round, seat.role.timing()));
+        let mode = || seat.role.mode(seat.vrank);
+        let Some(slot) = seat.role.cache_slot() else {
+            return Arc::new(self.build_fresh(&seat, &mode()));
+        };
+        let mut cache = self.schedules.lock();
+        if cache.len() <= seat.segment {
+            cache.resize_with(seat.segment + 1, Default::default);
+        }
+        let entry = cache[seat.segment][slot]
+            .get_or_insert_with(|| Arc::new(self.build_fresh(&seat, &mode())));
+        Arc::clone(entry)
     }
 
     fn snapshot(&self, round: u64) -> Option<Payload> {
@@ -651,35 +832,13 @@ impl CollectiveTemplate for PartialTemplate {
     }
 
     fn snapshot_timing(&self, round: u64) -> SnapshotTiming {
-        let policy = self.timeline.policy_at(round);
-        match policy {
-            // Full quorum behaves synchronously: contribution is captured
-            // at internal activation (the deposit made just before).
-            QuorumPolicy::Full => SnapshotTiming::Activation,
-            // Chain candidates gate the round on their own arrival, so
-            // their contribution must be their fresh deposit even if a
-            // chain token created the instance before they arrived.
-            // Candidates live in the round's (possibly compacted) virtual
-            // world — the same derivation `build` uses.
-            QuorumPolicy::Majority | QuorumPolicy::Chain(_) => {
-                let (vrank, p_live) = match self.membership.live_if_partial(round) {
-                    None => (self.rank, self.p),
-                    Some(live) => match live.iter().position(|&r| r == self.rank) {
-                        Some(v) => (v, live.len()),
-                        None => return SnapshotTiming::Creation,
-                    },
-                };
-                let cands = policy.round_candidates(self.seed, self.coll, round, p_live);
-                if cands.contains(&vrank) {
-                    SnapshotTiming::Activation
-                } else {
-                    SnapshotTiming::Creation
-                }
+        if let Some((built, timing)) = *self.last_timing.lock() {
+            if built == round {
+                return timing;
             }
-            // Race candidates can be dragged in externally before they
-            // arrive; their slot must be filled at creation.
-            QuorumPolicy::Solo | QuorumPolicy::FirstOf(_) => SnapshotTiming::Creation,
         }
+        self.seat(round)
+            .map_or(SnapshotTiming::Creation, |seat| seat.role.timing())
     }
 
     fn on_round_stats(&self, stats: &RoundStats) {
@@ -778,28 +937,7 @@ impl PartialAllreduce {
         // Any initial world size is legal: non-power-of-two worlds (and
         // non-power-of-two post-eviction live sets) always take the
         // segmented-ring data path, whose structure works for any P.
-        let shared = Arc::new(Shared {
-            dtype,
-            len,
-            opts,
-            send: Mutex::new(SendBuf {
-                data: Payload::new(TypedBuf::zeros(dtype, len)),
-                filled: false,
-                last_deposit_round: None,
-                spare: None,
-            }),
-            recv: Mutex::new(RecvBuf {
-                latest_round: None,
-                data: Payload::new(TypedBuf::zeros(dtype, len)),
-            }),
-            cv: Condvar::new(),
-            traces: Mutex::new(HashMap::new()),
-            snap_flags: Mutex::new(HashMap::new()),
-            missed_rounds: AtomicU64::new(0),
-            fresh_rounds: AtomicU64::new(0),
-            completions: AtomicU64::new(0),
-            built_horizon: AtomicU64::new(0),
-        });
+        let shared = Arc::new(Shared::new(dtype, len, opts));
         let timeline = Arc::new(PolicyTimeline::new(policy));
         let membership = Arc::new(MembershipLog::new(p));
         host.register_template(
@@ -813,6 +951,8 @@ impl PartialAllreduce {
                 membership: Arc::clone(&membership),
                 seed,
                 coll,
+                schedules: Mutex::new(Vec::new()),
+                last_timing: Mutex::new(None),
             }),
         );
         PartialAllreduce {
@@ -831,7 +971,7 @@ impl PartialAllreduce {
     /// that round (all ranks for solo/full, the chain/race set otherwise),
     /// as **global** rank ids — evicted ranks are never candidates.
     pub fn candidates(&self, round: u64) -> Vec<Rank> {
-        match self.membership.live_if_partial(round) {
+        match self.membership.segment_at(round).1 {
             None => self
                 .timeline
                 .policy_at(round)
@@ -1168,6 +1308,79 @@ mod tests {
 
     fn f32s(v: &[f32]) -> TypedBuf {
         TypedBuf::from(v.to_vec())
+    }
+
+    /// A template for `rank` of a `p`-rank world, outside any engine.
+    fn bare_template(rank: Rank, p: usize, policy: QuorumPolicy) -> PartialTemplate {
+        PartialTemplate {
+            shared: Arc::new(Shared::new(DType::F32, 8, PartialOpts::default())),
+            rank,
+            p,
+            op: ReduceOp::Sum,
+            timeline: Arc::new(PolicyTimeline::new(policy)),
+            membership: Arc::new(MembershipLog::new(p)),
+            seed: 11,
+            coll: CollId(3),
+            schedules: Mutex::new(Vec::new()),
+            last_timing: Mutex::new(None),
+        }
+    }
+
+    #[test]
+    fn schedule_cache_matches_fresh_build() {
+        use crate::builders::policy_activation_mode;
+        let policies = [
+            QuorumPolicy::Solo,
+            QuorumPolicy::FirstOf(3),
+            QuorumPolicy::Majority,
+            QuorumPolicy::Chain(3),
+            QuorumPolicy::Full,
+        ];
+        for policy in policies {
+            for p in [1, 2, 3, 4, 5, 8, 16] {
+                for rank in 0..p {
+                    let t = bare_template(rank, p, policy);
+                    // 64 healthy rounds, 64 without rank 1, 64 regrown.
+                    if p > 1 {
+                        let shrunk: Vec<Rank> = (0..p).filter(|&r| r != 1).collect();
+                        t.membership.set_from(64, &shrunk);
+                        t.membership.set_from(128, &(0..p).collect::<Vec<_>>());
+                    }
+                    for round in 0..192 {
+                        let live = t.membership.live_at(round);
+                        let Some(vrank) = live.iter().position(|&r| r == rank) else {
+                            continue;
+                        };
+                        let case = format!("{policy} p={p} rank={rank} round={round}");
+                        // Fresh: the builders on the full candidate list.
+                        let mode =
+                            policy_activation_mode(policy, t.seed, t.coll, round, live.len());
+                        let seat = t.seat(round).expect("rank is live");
+                        let fresh = t.build_fresh(&seat, &mode);
+                        // Timing from the candidates, as the engine needs it.
+                        let chain = policy.round_candidates(t.seed, t.coll, round, live.len());
+                        let timing = match policy {
+                            QuorumPolicy::Full => SnapshotTiming::Activation,
+                            QuorumPolicy::Majority | QuorumPolicy::Chain(_)
+                                if chain.contains(&vrank) =>
+                            {
+                                SnapshotTiming::Activation
+                            }
+                            _ => SnapshotTiming::Creation,
+                        };
+                        // Before the build the timing is derived afresh;
+                        // after it, it comes from the build's role.
+                        assert_eq!(t.snapshot_timing(round), timing, "{case}");
+                        let got = t.build(round);
+                        assert_eq!(*got, fresh, "{case}");
+                        assert_eq!(t.snapshot_timing(round), timing, "{case}");
+                        if seat.role.cache_slot().is_some() {
+                            assert!(Arc::ptr_eq(&got, &t.build(round)), "{case}: not cached");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1522,14 +1735,14 @@ mod tests {
     #[test]
     fn membership_log_shrinks_and_grows_back() {
         let m = MembershipLog::new(4);
-        assert_eq!(m.live_if_partial(0), None);
+        assert_eq!(m.segment_at(0).1, None);
         m.set_from(5, &[0, 1, 3]);
         m.set_from(9, &[3, 1, 0, 2]); // order is irrelevant
-        assert_eq!(m.live_if_partial(4), None);
-        assert_eq!(m.live_if_partial(5), Some(vec![0, 1, 3]));
-        assert_eq!(m.live_if_partial(8), Some(vec![0, 1, 3]));
-        assert_eq!(m.live_if_partial(9), None);
-        assert_eq!(m.live_if_partial(100), None);
+        assert_eq!(m.segment_at(4).1, None);
+        assert_eq!(m.segment_at(5).1, Some(vec![0, 1, 3]));
+        assert_eq!(m.segment_at(8).1, Some(vec![0, 1, 3]));
+        assert_eq!(m.segment_at(9).1, None);
+        assert_eq!(m.segment_at(100).1, None);
         assert_eq!(m.evicted(), Vec::<Rank>::new());
         assert_eq!(m.epoch(), 2);
     }
@@ -1569,8 +1782,8 @@ mod tests {
         joiner.import(src.segments());
         assert_eq!(joiner.segments(), src.segments());
         assert_eq!(joiner.epoch(), 3);
-        assert_eq!(joiner.live_if_partial(5), Some(vec![0, 1]));
-        assert_eq!(joiner.live_if_partial(8), None);
+        assert_eq!(joiner.segment_at(5).1, Some(vec![0, 1]));
+        assert_eq!(joiner.segment_at(8).1, None);
     }
 
     #[test]
@@ -1691,6 +1904,47 @@ mod tests {
         for (lo, hi) in out {
             assert_eq!(lo, vec![0, -3]);
             assert_eq!(hi, vec![3, 0]);
+        }
+    }
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+
+            /// The initiator — a majority round's candidate, the last
+            /// link of a chain — is uniform over ranks: membership
+            /// uniformity alone would not catch a draw that favours
+            /// some ranks for the last position.
+            #[test]
+            fn initiator_roughly_uniform(
+                seed in any::<u64>(),
+                p_exp in 2u32..6,
+                m in 2usize..5,
+            ) {
+                let p = 1usize << p_exp;
+                let rounds = 3000u64;
+                for policy in [QuorumPolicy::Majority, QuorumPolicy::Chain(m)] {
+                    let mut counts = vec![0usize; p];
+                    for r in 0..rounds {
+                        let chain = policy.round_candidates(seed, CollId(2), r, p);
+                        counts[*chain.last().expect("a chain has candidates")] += 1;
+                    }
+                    let frac = 1.0 / p as f64;
+                    let expect = rounds as f64 * frac;
+                    // Binomial std, 6σ as in `candidates_roughly_uniform`.
+                    let tol = 6.0 * (expect * (1.0 - frac)).sqrt().max(1.0);
+                    for (rank, &c) in counts.iter().enumerate() {
+                        prop_assert!(
+                            (c as f64 - expect).abs() < tol,
+                            "{}: rank {} initiated {} times, expected {} ± {}",
+                            policy, rank, c, expect, tol
+                        );
+                    }
+                }
+            }
         }
     }
 }

@@ -86,8 +86,8 @@ struct SyncTemplate<F: Fn(u64) -> Schedule + Send> {
 }
 
 impl<F: Fn(u64) -> Schedule + Send> CollectiveTemplate for SyncTemplate<F> {
-    fn build(&self, round: u64) -> Schedule {
-        (self.build)(round)
+    fn build(&self, round: u64) -> Arc<Schedule> {
+        Arc::new((self.build)(round))
     }
 
     fn snapshot(&self, round: u64) -> Option<Payload> {

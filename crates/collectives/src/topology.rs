@@ -6,6 +6,7 @@ use pcoll_comm::{CollId, Rank};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::cell::RefCell;
 
 /// `log2(p)` for a power-of-two `p`.
 pub fn log2_exact(p: usize) -> u32 {
@@ -80,10 +81,47 @@ pub fn round_rng(seed: u64, coll: CollId, round: u64) -> ChaCha8Rng {
     ChaCha8Rng::seed_from_u64(z)
 }
 
+/// Slots in each thread's memo of recent candidate draws.
+const DRAW_MEMO_SLOTS: usize = 16;
+
+/// `(seed, coll, round, p, m)`: everything a draw depends on.
+type DrawKey = (u64, CollId, u64, usize, usize);
+
+/// One memo slot: a key and the candidates it drew.
+type DrawSlot = Option<(DrawKey, Vec<Rank>)>;
+
+thread_local! {
+    /// This thread's recent draws, direct-mapped by round and collective.
+    static DRAW_MEMO: RefCell<[DrawSlot; DRAW_MEMO_SLOTS]> = RefCell::new(Default::default());
+}
+
 /// The `m` distinct candidate ranks for round `round` (initiator order for
-/// chain quorums). All ranks compute the identical list.
+/// chain quorums). All ranks compute the identical list: the first `m`
+/// ranks of a shuffle of `0..p` driven by the round's stream.
+///
+/// The shuffle costs O(p). Ranks that share a thread — all `p` ranks of a
+/// simulated world ask for every round — share it through a small
+/// per-thread memo of recent draws, so a thread shuffles once per round
+/// and collective rather than once per rank. The memo only caches a pure
+/// function: the list, and so every seeded run, is the same either way.
 pub fn round_candidates(seed: u64, coll: CollId, round: u64, p: usize, m: usize) -> Vec<Rank> {
-    let m = m.min(p);
+    let key = (seed, coll, round, p, m.min(p));
+    let slot = (round as usize ^ (coll.0 as usize).wrapping_mul(0x9E37_79B9)) % DRAW_MEMO_SLOTS;
+    DRAW_MEMO.with(|memo| {
+        let mut memo = memo.borrow_mut();
+        if let Some((cached, drawn)) = &memo[slot] {
+            if *cached == key {
+                return drawn.clone();
+            }
+        }
+        let drawn = draw_candidates(key);
+        memo[slot] = Some((key, drawn.clone()));
+        drawn
+    })
+}
+
+/// The uncached draw behind [`round_candidates`].
+fn draw_candidates((seed, coll, round, p, m): DrawKey) -> Vec<Rank> {
     let mut rng = round_rng(seed, coll, round);
     let mut ranks: Vec<Rank> = (0..p).collect();
     ranks.shuffle(&mut rng);
@@ -166,6 +204,27 @@ mod tests {
         assert_ne!(a, c, "different rounds draw different candidates");
         let d = round_candidates(42, CollId(2), 7, 32, 5);
         assert_ne!(a, d, "different collectives draw different candidates");
+    }
+
+    #[test]
+    fn memo_returns_the_uncached_draw() {
+        // Interleave keys that share memo slots (every `(p, m)` of a
+        // round shares its slot; rounds 16 apart and the two collectives
+        // collide too), so a lookup must match its own key exactly.
+        for pass in 0..2 {
+            for round in 0..48u64 {
+                for coll in [CollId(1), CollId(2)] {
+                    for (p, m) in [(4, 1), (4, 3), (1024, 1), (1024, 4)] {
+                        let key = (7, coll, round, p, m);
+                        assert_eq!(
+                            round_candidates(7, coll, round, p, m),
+                            draw_candidates(key),
+                            "pass {pass}, key {key:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     mod proptests {

@@ -385,6 +385,10 @@ pub struct SimWorld {
     heap: BinaryHeap<Reverse<SimEntry>>,
     seq: u64,
     stage: SimStage,
+    /// The buffer [`SimWorld::flush_sends`] swaps with the stage queue:
+    /// the two trade places every flush and both keep their capacity, so
+    /// a steady-state flush allocates nothing.
+    flushing: Vec<(Rank, Rank, Envelope)>,
     last_due: HashMap<(Rank, Rank), TimePoint>,
     /// Undelivered messages per (src, dst) pair — the "wire queue" depth
     /// a clamped send was stuck behind (see [`SimWorld::flush_sends`]).
@@ -438,6 +442,7 @@ impl SimWorld {
             heap: BinaryHeap::new(),
             seq: 0,
             stage: SimStage::default(),
+            flushing: Vec::new(),
             last_due: HashMap::new(),
             in_flight: HashMap::new(),
             mb_txs,
@@ -670,12 +675,13 @@ impl SimWorld {
     /// backpressure (the message sat serialized behind its predecessors),
     /// with `depth` = messages ahead of it on that wire.
     fn flush_sends(&mut self) {
-        let staged: Vec<(Rank, Rank, Envelope)> = {
-            let mut q = self.stage.queue.lock().expect("sim stage lock");
-            std::mem::take(&mut *q)
-        };
+        let mut staged = std::mem::take(&mut self.flushing);
+        std::mem::swap(
+            &mut *self.stage.queue.lock().expect("sim stage lock"),
+            &mut staged,
+        );
         let now = self.clock.now();
-        for (src, dst, env) in staged {
+        for (src, dst, env) in staged.drain(..) {
             // Dead ends: a corpse neither sends nor receives. (Messages
             // already *in the heap* when a rank dies are handled at pop.)
             if self.dead[src] || self.dead[dst] {
@@ -755,6 +761,7 @@ impl SimWorld {
             }));
             self.seq += 1;
         }
+        self.flushing = staged;
     }
 
     /// Advance the world by one event: flush staged sends, pop the

@@ -15,40 +15,44 @@
 
 use crate::op::{DepMode, OpId, OpKind, Schedule};
 
-/// Runtime firing state of one schedule instance.
+/// Per-op flag bits of [`DagState::flags`].
+const FIRED: u8 = 1;
+/// Handed out as fireable (to avoid double-enqueue on OR fan-in).
+const QUEUED: u8 = 1 << 1;
+/// Some OR dependency fired.
+const OR_SATISFIED: u8 = 1 << 2;
+/// A receive's message arrived.
+const ARRIVED: u8 = 1 << 3;
+
+/// Runtime firing state of one schedule instance: one flag byte and one
+/// AND countdown per op, both started from the schedule's precomputed
+/// tables, so creating an instance is two copies and no scan.
 #[derive(Debug)]
 pub struct DagState {
-    fired: Vec<bool>,
-    /// Ops handed out as fireable (to avoid double-enqueue on OR fan-in).
-    queued: Vec<bool>,
+    flags: Vec<u8>,
     and_remaining: Vec<u32>,
-    or_satisfied: Vec<bool>,
-    arrived: Vec<bool>,
     activated: bool,
 }
 
 impl DagState {
-    /// Create the state and return the ops fireable immediately at
-    /// instance creation (dependency-free ops that are neither receives
-    /// nor internal gates).
-    pub fn new(sched: &Schedule) -> (Self, Vec<OpId>) {
-        let n = sched.ops.len();
-        let mut st = DagState {
-            fired: vec![false; n],
-            queued: vec![false; n],
-            and_remaining: sched.ops.iter().map(|o| o.deps.len() as u32).collect(),
-            or_satisfied: vec![false; n],
-            arrived: vec![false; n],
-            activated: false,
-        };
-        let mut ready = Vec::new();
-        for id in 0..n {
-            if st.fireable(sched, id) {
-                st.queued[id] = true;
-                ready.push(id);
-            }
+    /// Create the state and push the ops fireable immediately at instance
+    /// creation (dependency-free ops that are neither receives nor
+    /// internal gates) onto `ready`.
+    pub fn new(sched: &Schedule, ready: &mut Vec<OpId>) -> Self {
+        let mut flags = vec![0; sched.ops.len()];
+        for &id in sched.roots() {
+            flags[id] = QUEUED;
         }
-        (st, ready)
+        ready.extend_from_slice(sched.roots());
+        DagState {
+            flags,
+            and_remaining: sched.dep_counts().to_vec(),
+            activated: false,
+        }
+    }
+
+    fn has(&self, id: OpId, flag: u8) -> bool {
+        self.flags[id] & flag != 0
     }
 
     fn deps_satisfied(&self, sched: &Schedule, id: OpId) -> bool {
@@ -58,24 +62,37 @@ impl DagState {
         }
         match op.dep_mode {
             DepMode::And => self.and_remaining[id] == 0,
-            DepMode::Or => self.or_satisfied[id],
+            DepMode::Or => self.has(id, OR_SATISFIED),
         }
     }
 
     fn fireable(&self, sched: &Schedule, id: OpId) -> bool {
-        if self.fired[id] || self.queued[id] || !self.deps_satisfied(sched, id) {
+        if self.has(id, FIRED | QUEUED) || !self.deps_satisfied(sched, id) {
             return false;
         }
         match sched.ops[id].kind {
-            OpKind::Recv { .. } => self.arrived[id],
+            OpKind::Recv { .. } => self.has(id, ARRIVED),
             OpKind::InternalGate => self.activated,
             _ => true,
         }
     }
 
+    /// If `id` is fireable, mark it queued and push it onto `ready`.
+    fn offer(&mut self, sched: &Schedule, id: OpId, ready: &mut Vec<OpId>) {
+        if self.fireable(sched, id) {
+            self.flags[id] |= QUEUED;
+            ready.push(id);
+        }
+    }
+
     /// Has this op fired?
     pub fn is_fired(&self, id: OpId) -> bool {
-        self.fired[id]
+        self.has(id, FIRED)
+    }
+
+    /// Has receive op `id`'s message (or its null stand-in) arrived?
+    pub fn has_arrived(&self, id: OpId) -> bool {
+        self.has(id, ARRIVED)
     }
 
     /// Has the application internally activated this instance?
@@ -83,21 +100,17 @@ impl DagState {
         self.activated
     }
 
-    /// Record the application's internal activation. Returns newly
-    /// fireable ops (typically the internal gates). Idempotent.
-    pub fn on_activate(&mut self, sched: &Schedule) -> Vec<OpId> {
+    /// Record the application's internal activation and push newly
+    /// fireable ops (typically the internal gates) onto `ready`.
+    /// Idempotent.
+    pub fn on_activate(&mut self, sched: &Schedule, ready: &mut Vec<OpId>) {
         if self.activated {
-            return Vec::new();
+            return;
         }
         self.activated = true;
-        let mut ready = Vec::new();
-        for (id, op) in sched.ops.iter().enumerate() {
-            if matches!(op.kind, OpKind::InternalGate) && self.fireable(sched, id) {
-                self.queued[id] = true;
-                ready.push(id);
-            }
+        for &id in sched.gates() {
+            self.offer(sched, id, ready);
         }
-        ready
     }
 
     /// Record arrival of the message for receive op `id`. Returns `true`
@@ -107,12 +120,12 @@ impl DagState {
     /// absorbed here.
     pub fn on_message(&mut self, sched: &Schedule, id: OpId) -> bool {
         debug_assert!(matches!(sched.ops[id].kind, OpKind::Recv { .. }));
-        if self.arrived[id] || self.fired[id] {
+        if self.has(id, ARRIVED | FIRED) {
             return false;
         }
-        self.arrived[id] = true;
+        self.flags[id] |= ARRIVED;
         if self.fireable(sched, id) {
-            self.queued[id] = true;
+            self.flags[id] |= QUEUED;
             true
         } else {
             false
@@ -120,36 +133,31 @@ impl DagState {
     }
 
     /// Record that the engine executed op `id`'s effect. Propagates to
-    /// dependents and returns any that became fireable.
+    /// dependents and pushes any that became fireable onto `ready`.
     ///
     /// Panics if the op already fired — the consumable-op invariant is a
     /// hard error to violate, not a recoverable condition.
-    pub fn mark_fired(&mut self, sched: &Schedule, id: OpId) -> Vec<OpId> {
+    pub fn mark_fired(&mut self, sched: &Schedule, id: OpId, ready: &mut Vec<OpId>) {
         assert!(
-            !self.fired[id],
+            !self.is_fired(id),
             "op {id} fired twice (consumable invariant)"
         );
-        self.fired[id] = true;
-        let mut ready = Vec::new();
+        self.flags[id] |= FIRED;
         for &dep in &sched.dependents[id] {
             match sched.ops[dep].dep_mode {
                 DepMode::And => {
                     debug_assert!(self.and_remaining[dep] > 0);
                     self.and_remaining[dep] -= 1;
                 }
-                DepMode::Or => self.or_satisfied[dep] = true,
+                DepMode::Or => self.flags[dep] |= OR_SATISFIED,
             }
-            if self.fireable(sched, dep) {
-                self.queued[dep] = true;
-                ready.push(dep);
-            }
+            self.offer(sched, dep, ready);
         }
-        ready
     }
 
     /// Number of ops that have fired (diagnostics).
     pub fn fired_count(&self) -> usize {
-        self.fired.iter().filter(|f| **f).count()
+        self.flags.iter().filter(|&&f| f & FIRED != 0).count()
     }
 }
 
@@ -164,9 +172,28 @@ mod tests {
         let mut order = Vec::new();
         while let Some(id) = queue.pop() {
             order.push(id);
-            queue.extend(st.mark_fired(sched, id));
+            st.mark_fired(sched, id, &mut queue);
         }
         order
+    }
+
+    /// A fresh state plus the ops ready at creation.
+    fn start(sched: &Schedule) -> (DagState, Vec<OpId>) {
+        let mut ready = Vec::new();
+        let st = DagState::new(sched, &mut ready);
+        (st, ready)
+    }
+
+    fn activate(sched: &Schedule, st: &mut DagState) -> Vec<OpId> {
+        let mut ready = Vec::new();
+        st.on_activate(sched, &mut ready);
+        ready
+    }
+
+    fn fire(sched: &Schedule, st: &mut DagState, id: OpId) -> Vec<OpId> {
+        let mut ready = Vec::new();
+        st.mark_fired(sched, id, &mut ready);
+        ready
     }
 
     fn nop_chain() -> Schedule {
@@ -182,7 +209,7 @@ mod tests {
     #[test]
     fn chain_fires_in_order() {
         let s = nop_chain();
-        let (mut st, ready) = DagState::new(&s);
+        let (mut st, ready) = start(&s);
         let order = run_to_quiescence(&s, &mut st, ready);
         assert_eq!(order, vec![0, 1, 2]);
         assert_eq!(st.fired_count(), 3);
@@ -196,9 +223,9 @@ mod tests {
         let n = b.op(OpKind::Nop, vec![g]);
         b.completion(n);
         let s = b.build();
-        let (mut st, ready) = DagState::new(&s);
+        let (mut st, ready) = start(&s);
         assert!(ready.is_empty(), "gate must not fire at creation");
-        let ready = st.on_activate(&s);
+        let ready = activate(&s, &mut st);
         assert_eq!(ready, vec![g]);
         let order = run_to_quiescence(&s, &mut st, ready);
         assert_eq!(order, vec![g, n]);
@@ -211,11 +238,11 @@ mod tests {
         let g = b.op(OpKind::InternalGate, vec![]);
         b.completion(g);
         let s = b.build();
-        let (mut st, _) = DagState::new(&s);
-        assert_eq!(st.on_activate(&s), vec![g]);
-        assert!(st.on_activate(&s).is_empty());
-        st.mark_fired(&s, g);
-        assert!(st.on_activate(&s).is_empty());
+        let (mut st, _) = start(&s);
+        assert_eq!(activate(&s, &mut st), vec![g]);
+        assert!(activate(&s, &mut st).is_empty());
+        fire(&s, &mut st, g);
+        assert!(activate(&s, &mut st).is_empty());
     }
 
     #[test]
@@ -235,14 +262,14 @@ mod tests {
         let s = b.build();
 
         // Message first, dep second.
-        let (mut st, ready) = DagState::new(&s);
+        let (mut st, ready) = start(&s);
         assert_eq!(ready, vec![pre]);
         assert!(!st.on_message(&s, r), "dep not yet satisfied");
-        let newly = st.mark_fired(&s, pre);
+        let newly = fire(&s, &mut st, pre);
         assert_eq!(newly, vec![r], "dep firing unlocks buffered arrival");
 
         // Dep first, message second.
-        let (mut st, ready) = DagState::new(&s);
+        let (mut st, ready) = start(&s);
         let newly = run_to_quiescence(&s, &mut st, ready);
         assert_eq!(newly, vec![pre]);
         assert!(st.on_message(&s, r));
@@ -262,10 +289,10 @@ mod tests {
         );
         b.completion(r);
         let s = b.build();
-        let (mut st, _) = DagState::new(&s);
+        let (mut st, _) = start(&s);
         assert!(st.on_message(&s, r));
         assert!(!st.on_message(&s, r), "duplicate must be absorbed");
-        st.mark_fired(&s, r);
+        fire(&s, &mut st, r);
         assert!(!st.on_message(&s, r), "post-fire message must be absorbed");
     }
 
@@ -280,11 +307,11 @@ mod tests {
         let sink = b.op_or(OpKind::Nop, vec![s1, s2]);
         b.completion(sink);
         let s = b.build();
-        let (mut st, ready) = DagState::new(&s);
+        let (mut st, ready) = start(&s);
         assert_eq!(ready.len(), 2);
-        let r1 = st.mark_fired(&s, s1);
+        let r1 = fire(&s, &mut st, s1);
         assert_eq!(r1, vec![sink]);
-        let r2 = st.mark_fired(&s, s2);
+        let r2 = fire(&s, &mut st, s2);
         assert!(r2.is_empty(), "sink must not be handed out twice");
     }
 
@@ -292,9 +319,9 @@ mod tests {
     #[should_panic(expected = "consumable")]
     fn double_fire_panics() {
         let s = nop_chain();
-        let (mut st, _) = DagState::new(&s);
-        st.mark_fired(&s, 0);
-        st.mark_fired(&s, 0);
+        let (mut st, _) = start(&s);
+        fire(&s, &mut st, 0);
+        fire(&s, &mut st, 0);
     }
 
     mod proptests {
@@ -335,7 +362,7 @@ mod tests {
             /// op before its dependencies are satisfied.
             #[test]
             fn all_ops_fire_exactly_once(s in arb_schedule()) {
-                let (mut st, ready) = DagState::new(&s);
+                let (mut st, ready) = start(&s);
                 let order = run_to_quiescence(&s, &mut st, ready);
                 prop_assert_eq!(order.len(), s.ops.len());
                 // Uniqueness.

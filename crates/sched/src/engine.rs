@@ -106,9 +106,11 @@ pub enum SnapshotTiming {
 /// Implementations live in the `pcoll` crate; they own the send/receive
 /// buffers and the schedule construction for their algorithm.
 pub trait CollectiveTemplate: Send {
-    /// Build this rank's schedule for `round` (SPMD: every rank builds a
-    /// structurally matching schedule).
-    fn build(&self, round: u64) -> Schedule;
+    /// This rank's schedule for `round` (SPMD: every rank builds a
+    /// structurally matching schedule). Shared, so a template that hands
+    /// out the same schedule round after round builds it once; the
+    /// instance keeps only per-op firing state and buffers.
+    fn build(&self, round: u64) -> Arc<Schedule>;
 
     /// Capture this rank's contribution for `round`. For partial
     /// collectives this takes whatever the send buffer holds *right now* —
@@ -360,16 +362,18 @@ impl Engine {
 }
 
 struct Instance {
-    sched: Schedule,
+    /// The template's schedule, shared with every other round built from
+    /// it; routing goes through its receive index.
+    sched: Arc<Schedule>,
     dag: DagState,
     /// Slot buffers hold shared payloads: a `SendData` is an `Arc` bump,
     /// a `Combine` mutates copy-on-write (in place once any in-flight
     /// sharers have drained).
     bufs: Vec<Option<Payload>>,
-    /// (peer, sem) → receive op routing table.
-    recv_route: HashMap<(Rank, u32), OpId>,
-    /// Payloads that arrived but whose receive op has not fired yet.
-    pending_payloads: HashMap<OpId, Option<Payload>>,
+    /// Per op: the payload of a receive whose message arrived (the DAG's
+    /// arrival flag) but which has not fired yet. `None` is also a null
+    /// payload (control messages, a dead peer's stand-in).
+    pending: Vec<Option<Payload>>,
     /// Whether the contribution snapshot has been taken (see
     /// [`SnapshotTiming`]).
     snapshotted: bool,
@@ -635,7 +639,7 @@ impl EngineCore {
             }
             inst.snapshotted = true;
         }
-        to_fire.extend(inst.dag.on_activate(&inst.sched));
+        inst.dag.on_activate(&inst.sched, &mut to_fire);
         synthesize_peer_down(inst, &self.down, &mut to_fire);
         self.drive(coll, round, to_fire);
     }
@@ -677,12 +681,12 @@ impl EngineCore {
             });
             new_instance(&*cs.template, round, true, now, &mut to_fire)
         });
-        match inst.recv_route.get(&(msg.src, msg.tag.sem)) {
-            Some(&op) => {
-                if inst.dag.is_fired(op) || inst.pending_payloads.contains_key(&op) {
+        match inst.sched.recv_op(msg.src, msg.tag.sem) {
+            Some(op) => {
+                if inst.dag.is_fired(op) || inst.dag.has_arrived(op) {
                     EngineStats::bump(&self.stats.dropped_dup);
                 } else {
-                    inst.pending_payloads.insert(op, msg.payload);
+                    inst.pending[op] = msg.payload;
                     if inst.dag.on_message(&inst.sched, op) {
                         to_fire.push(op);
                     }
@@ -709,9 +713,15 @@ impl EngineCore {
             latest_completed,
             gc_floor,
         } = cs;
-        let inst = instances.get_mut(&round).expect("driven instance exists");
+        let Instance {
+            sched,
+            dag,
+            bufs,
+            pending,
+            ..
+        } = instances.get_mut(&round).expect("driven instance exists");
         while let Some(id) = queue.pop() {
-            let kind = inst.sched.ops[id].kind.clone();
+            let kind = sched.ops[id].kind.clone();
             // Span start is read only when spans are being recorded: the
             // disabled path through here costs one level check per op.
             let op_label = kind.label();
@@ -728,36 +738,29 @@ impl EngineCore {
                     // An empty slot (a null contribution inherited from a
                     // dead upstream peer) forwards as a payload-less
                     // message, so nulls propagate instead of stalling.
-                    self.comm.send_payload(
-                        peer,
-                        WireTag::new(coll, round, sem),
-                        inst.bufs[src].clone(),
-                    );
+                    self.comm
+                        .send_payload(peer, WireTag::new(coll, round, sem), bufs[src].clone());
                 }
                 OpKind::SendCtl { peer, sem } => {
                     self.comm.send(peer, WireTag::new(coll, round, sem), None);
                 }
                 OpKind::Recv { into, .. } => {
-                    let payload = inst
-                        .pending_payloads
-                        .remove(&id)
-                        .expect("recv fired without payload");
-                    if let (Some(slot), Some(buf)) = (into, payload) {
-                        inst.bufs[slot] = Some(buf);
+                    if let (Some(slot), Some(buf)) = (into, pending[id].take()) {
+                        bufs[slot] = Some(buf);
                     }
                 }
                 OpKind::Combine { op, src, dst } => {
                     // Null tolerance: an empty source (a dead peer's
                     // never-sent contribution) folds in as the identity —
                     // skip; an empty accumulator adopts the source.
-                    match (inst.bufs[src].take(), inst.bufs[dst].is_some()) {
+                    match (bufs[src].take(), bufs[dst].is_some()) {
                         (None, _) => {}
                         (Some(s), false) => {
-                            inst.bufs[dst] = Some(s.clone());
-                            inst.bufs[src] = Some(s);
+                            bufs[dst] = Some(s.clone());
+                            bufs[src] = Some(s);
                         }
                         (Some(s), true) => {
-                            let d = inst.bufs[dst].as_mut().expect("Combine dst filled");
+                            let d = bufs[dst].as_mut().expect("Combine dst filled");
                             // Copy-on-write: a uniquely-owned accumulator
                             // mutates in place; one cloned onto the wire
                             // gets a *fused* single-pass `out = dst ⊕ src`
@@ -768,12 +771,12 @@ impl EngineCore {
                             // while decoding — no intermediate buffer.
                             d.reduce_assign_pooled(&s, op, scratch)
                                 .expect("Combine dtype/len mismatch");
-                            inst.bufs[src] = Some(s);
+                            bufs[src] = Some(s);
                         }
                     }
                 }
                 OpKind::Copy { src, dst } => {
-                    inst.bufs[dst] = inst.bufs[src].clone();
+                    bufs[dst] = bufs[src].clone();
                 }
                 OpKind::SliceView {
                     src,
@@ -784,7 +787,7 @@ impl EngineCore {
                     // Zero-copy extraction: the first Combine into the
                     // viewed chunk materializes it with one fused pass.
                     // A null source slices to a null chunk.
-                    inst.bufs[dst] = inst.bufs[src].as_ref().map(|s| s.view(start, len));
+                    bufs[dst] = bufs[src].as_ref().map(|s| s.view(start, len));
                 }
                 OpKind::CopyAt {
                     src,
@@ -796,23 +799,22 @@ impl EngineCore {
                     // buffer untouched (the dead peer's chunk is simply
                     // absent; eviction rebuilds schedules over the live
                     // set within a bounded number of rounds).
-                    let Some(s) = inst.bufs[src].take() else {
-                        queue.extend(inst.dag.mark_fired(&inst.sched, id));
+                    let Some(s) = bufs[src].take() else {
+                        dag.mark_fired(sched, id, &mut queue);
                         continue;
                     };
-                    if inst.bufs[dst].is_none() {
+                    if bufs[dst].is_none() {
                         // Dirty pooled buffer: the schedule contract is
                         // that CopyAt writes tile all of `dst` before it
                         // is observed, so no zeroing pass is needed.
-                        inst.bufs[dst] =
-                            Some(Payload::new(pooled_buffer(scratch, s.dtype(), dst_len)));
+                        bufs[dst] = Some(Payload::new(pooled_buffer(scratch, s.dtype(), dst_len)));
                     }
-                    let d = inst.bufs[dst].as_mut().expect("CopyAt dst filled");
+                    let d = bufs[dst].as_mut().expect("CopyAt dst filled");
                     // The assembly buffer is never sent, so it stays
                     // uniquely owned and this writes in place.
                     s.copy_into_at(d.to_mut(), dst_start)
                         .expect("CopyAt shape mismatch");
-                    inst.bufs[src] = Some(s);
+                    bufs[src] = Some(s);
                 }
                 OpKind::Nop | OpKind::InternalGate => {}
             }
@@ -827,10 +829,10 @@ impl EngineCore {
                         dur_ns,
                     });
             }
-            queue.extend(inst.dag.mark_fired(&inst.sched, id));
+            dag.mark_fired(sched, id, &mut queue);
         }
 
-        if inst.dag.is_fired(inst.sched.completion) {
+        if dag.is_fired(sched.completion) {
             // Completion drops the instance *now*: every op has fired, so
             // it can never forward anything again — retaining it would
             // only pin a round's worth of tensors. Only the completion
@@ -885,7 +887,7 @@ fn harvest_instance(inst: Instance, scratch: &mut Vec<TypedBuf>, limbo: &mut Vec
         inst.bufs
             .into_iter()
             .flatten()
-            .chain(inst.pending_payloads.into_values().flatten()),
+            .chain(inst.pending.into_iter().flatten()),
     );
     for p in candidates {
         if scratch.len() >= SCRATCH_CAP {
@@ -949,16 +951,10 @@ fn synthesize_peer_down(inst: &mut Instance, down: &HashSet<Rank>, to_fire: &mut
     if down.is_empty() {
         return;
     }
-    let Instance {
-        sched,
-        dag,
-        recv_route,
-        pending_payloads,
-        ..
-    } = inst;
-    for (&(peer, _sem), &op) in recv_route.iter() {
-        if down.contains(&peer) && !dag.is_fired(op) && !pending_payloads.contains_key(&op) {
-            pending_payloads.insert(op, None);
+    let Instance { sched, dag, .. } = inst;
+    for &((peer, _sem), op) in sched.recv_index() {
+        if down.contains(&peer) && !dag.is_fired(op) && !dag.has_arrived(op) {
+            // The pending slot is already `None`: the null stand-in.
             if dag.on_message(sched, op) {
                 to_fire.push(op);
             }
@@ -974,7 +970,7 @@ fn new_instance(
     to_fire: &mut Vec<OpId>,
 ) -> Instance {
     let sched = template.build(round);
-    let (dag, ready) = DagState::new(&sched);
+    let dag = DagState::new(&sched, to_fire);
     let mut bufs = vec![None; sched.nslots];
     let snapshotted = match template.snapshot_timing(round) {
         SnapshotTiming::Creation => {
@@ -985,14 +981,11 @@ fn new_instance(
         }
         SnapshotTiming::Activation => false,
     };
-    let recv_route = sched.recv_index().collect();
-    to_fire.extend(ready);
     Instance {
+        pending: vec![None; sched.ops.len()],
         sched,
         dag,
         bufs,
-        recv_route,
-        pending_payloads: HashMap::new(),
         snapshotted,
         created: now,
         external,
@@ -1047,7 +1040,7 @@ mod tests {
     }
 
     impl CollectiveTemplate for PairSum {
-        fn build(&self, _round: u64) -> Schedule {
+        fn build(&self, _round: u64) -> Arc<Schedule> {
             let peer = 1 - self.me;
             let mut b = ScheduleBuilder::new();
             b.slots(2);
@@ -1077,7 +1070,7 @@ mod tests {
                 vec![recv, send],
             );
             b.completion(comb).result_slot(CONTRIB_SLOT);
-            b.build()
+            Arc::new(b.build())
         }
 
         fn snapshot(&self, round: u64) -> Option<Payload> {
@@ -1273,7 +1266,7 @@ mod tests {
                 log: Arc<Mutex<Vec<(Rank, Duration)>>>,
             }
             impl CollectiveTemplate for Timed {
-                fn build(&self, round: u64) -> Schedule {
+                fn build(&self, round: u64) -> Arc<Schedule> {
                     self.inner.build(round)
                 }
                 fn snapshot(&self, round: u64) -> Option<Payload> {

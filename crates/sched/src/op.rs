@@ -99,7 +99,7 @@ impl OpKind {
 }
 
 /// One vertex of the schedule DAG.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Op {
     pub kind: OpKind,
     pub deps: Vec<OpId>,
@@ -107,7 +107,13 @@ pub struct Op {
 }
 
 /// A finalized, immutable schedule for one rank and one round.
-#[derive(Debug, Clone)]
+///
+/// Besides the ops it carries every per-schedule index the engine needs
+/// to instantiate and route it, computed once by
+/// [`ScheduleBuilder::build`]: a persistent collective that hands out the
+/// same `Arc<Schedule>` every round pays for them once, and an instance
+/// then costs only its per-op firing state.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Schedule {
     pub ops: Vec<Op>,
     /// Reverse edges, precomputed: `dependents[i]` lists ops that depend
@@ -120,6 +126,16 @@ pub struct Schedule {
     /// Slot whose contents are delivered as the result on completion
     /// (`None` for data-free collectives such as barriers).
     pub result_slot: Option<Slot>,
+    /// Receive ops sorted by their matching key `(peer, sem)`: the route
+    /// for an arriving message (see [`Schedule::recv_op`]).
+    recv_index: Vec<((Rank, u32), OpId)>,
+    /// The [`OpKind::InternalGate`] ops, fired by internal activation.
+    gates: Vec<OpId>,
+    /// Each op's dependency count: the initial AND countdown.
+    dep_counts: Vec<u32>,
+    /// Ops fireable the moment an instance is created: no dependencies,
+    /// and neither a receive nor a gate.
+    roots: Vec<OpId>,
 }
 
 impl Schedule {
@@ -166,6 +182,13 @@ impl Schedule {
                 _ => {}
             }
         }
+        // Routing needs every message key to name at most one receive.
+        if let Some(w) = self.recv_index.windows(2).find(|w| w[0].0 == w[1].0) {
+            return Err(format!(
+                "ops {} and {} both receive {:?}",
+                w[0].1, w[1].1, w[0].0
+            ));
+        }
         // Cycle check via Kahn's algorithm on dependency edges.
         let mut indeg: Vec<usize> = self.ops.iter().map(|o| o.deps.len()).collect();
         let mut queue: Vec<OpId> = indeg
@@ -207,19 +230,52 @@ impl Schedule {
                 _ => {}
             }
         }
+        self.recv_index = recv_index(&self.ops);
     }
 
-    /// Receive operations indexed by their matching key, used by the engine
-    /// to route arriving messages.
-    pub fn recv_index(&self) -> impl Iterator<Item = ((Rank, u32), OpId)> + '_ {
-        self.ops
-            .iter()
-            .enumerate()
-            .filter_map(|(i, op)| match op.kind {
-                OpKind::Recv { peer, sem, .. } => Some(((peer, sem), i)),
-                _ => None,
-            })
+    /// Receive operations with their matching key, sorted by key: the
+    /// engine's routing table for arriving messages.
+    pub fn recv_index(&self) -> &[((Rank, u32), OpId)] {
+        &self.recv_index
     }
+
+    /// The receive op matching a message from `peer` under `sem`.
+    pub(crate) fn recv_op(&self, peer: Rank, sem: u32) -> Option<OpId> {
+        self.recv_index
+            .binary_search_by_key(&(peer, sem), |&(key, _)| key)
+            .ok()
+            .map(|i| self.recv_index[i].1)
+    }
+
+    /// The internal-activation gates ([`OpKind::InternalGate`] ops).
+    pub(crate) fn gates(&self) -> &[OpId] {
+        &self.gates
+    }
+
+    /// Every op's dependency count, in op order.
+    pub(crate) fn dep_counts(&self) -> &[u32] {
+        &self.dep_counts
+    }
+
+    /// Ops fireable at instance creation: dependency-free ops that are
+    /// neither receives nor internal gates.
+    pub(crate) fn roots(&self) -> &[OpId] {
+        &self.roots
+    }
+}
+
+/// The receive ops of `ops` keyed by `(peer, sem)`, sorted by key.
+fn recv_index(ops: &[Op]) -> Vec<((Rank, u32), OpId)> {
+    let mut index: Vec<_> = ops
+        .iter()
+        .enumerate()
+        .filter_map(|(i, op)| match op.kind {
+            OpKind::Recv { peer, sem, .. } => Some(((peer, sem), i)),
+            _ => None,
+        })
+        .collect();
+    index.sort_unstable();
+    index
 }
 
 /// Convenience builder producing a validated [`Schedule`].
@@ -282,11 +338,24 @@ impl ScheduleBuilder {
                 dependents[d].push(i);
             }
         }
+        let gates = (0..self.ops.len())
+            .filter(|&i| matches!(self.ops[i].kind, OpKind::InternalGate))
+            .collect();
+        let roots = (0..self.ops.len())
+            .filter(|&i| {
+                let op = &self.ops[i];
+                op.deps.is_empty() && !matches!(op.kind, OpKind::Recv { .. } | OpKind::InternalGate)
+            })
+            .collect();
         let sched = Schedule {
             dependents,
             nslots: self.nslots,
             completion: self.completion.expect("schedule needs a completion op"),
             result_slot: self.result_slot,
+            recv_index: recv_index(&self.ops),
+            gates,
+            dep_counts: self.ops.iter().map(|o| o.deps.len() as u32).collect(),
+            roots,
             ops: self.ops,
         };
         if let Err(e) = sched.validate() {
@@ -383,6 +452,23 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "both receive")]
+    fn duplicate_receive_key_is_rejected() {
+        let mut b = ScheduleBuilder::new();
+        b.slots(1);
+        let recv = OpKind::Recv {
+            peer: 1,
+            sem: 3,
+            into: None,
+        };
+        let r0 = b.op(recv.clone(), vec![]);
+        let r1 = b.op(recv, vec![]);
+        let n = b.op(OpKind::Nop, vec![r0, r1]);
+        b.completion(n);
+        let _ = b.build();
+    }
+
+    #[test]
     fn recv_index_lists_receives() {
         let mut b = ScheduleBuilder::new();
         b.slots(1);
@@ -397,7 +483,8 @@ mod tests {
         let n = b.op(OpKind::Nop, vec![r0]);
         b.completion(n);
         let s = b.build();
-        let idx: Vec<_> = s.recv_index().collect();
-        assert_eq!(idx, vec![((2, 7), r0)]);
+        assert_eq!(s.recv_index(), &[((2, 7), r0)]);
+        assert_eq!(s.recv_op(2, 7), Some(r0));
+        assert_eq!(s.recv_op(2, 8), None);
     }
 }
